@@ -14,21 +14,21 @@ from urnengine import analytic, continuum, thermo
 def main() -> None:
     n_total = 10_000
 
-    spec = analytic.OttoSpec.from_counts(1.0, 2.0, n_total, 2000, 3000)
+    spec = analytic.RingSpec.from_counts([1.0, 2.0], [2000, 3000], n_total)
     beta_l = thermo.beta_from_occupancy(2000, n_total, 1.0).beta
     beta_h = thermo.beta_from_occupancy(3000, n_total, 2.0).beta
     print(
-        f"engine      W={analytic.mean_work_otto(spec):+.4f}  "
+        f"engine      W={analytic.mean_heats_ring(spec)[2]:+.4f}  "
         f"eta={analytic.efficiency_otto(1.0, 2.0):.3f}  "
         f"beta=({beta_l:.4f}, {beta_h:.4f})  "
         f"eta_C={thermo.carnot_efficiency(beta_l, beta_h):.4f}"
     )
 
-    spec = analytic.OttoSpec.from_counts(1.0, 2.0, n_total, 3000, 2000)
+    spec = analytic.RingSpec.from_counts([1.0, 2.0], [3000, 2000], n_total)
     beta_l = thermo.beta_from_occupancy(3000, n_total, 1.0).beta
     beta_h = thermo.beta_from_occupancy(2000, n_total, 2.0).beta
     print(
-        f"pump        W={analytic.mean_work_otto(spec):+.4f}  "
+        f"pump        W={analytic.mean_heats_ring(spec)[2]:+.4f}  "
         f"COP={1 / analytic.efficiency_otto(1.0, 2.0):.1f}  "
         f"beta=({beta_l:.4f}, {beta_h:.4f})  "
         f"COP_C={1 / thermo.carnot_efficiency(beta_l, beta_h):.3f}"
@@ -36,9 +36,9 @@ def main() -> None:
 
     beta_l = thermo.beta_from_occupancy(4500, n_total, 1.0).beta
     beta_h = thermo.beta_from_occupancy(5500, n_total, 2.0).beta
-    spec = analytic.OttoSpec.from_counts(1.0, 2.0, n_total, 4500, 5500)
+    spec = analytic.RingSpec.from_counts([1.0, 2.0], [4500, 5500], n_total)
     print(
-        f"mixed signs W={analytic.mean_work_otto(spec):+.4f}  "
+        f"mixed signs W={analytic.mean_heats_ring(spec)[2]:+.4f}  "
         f"eta={analytic.efficiency_otto(1.0, 2.0):.3f}  "
         f"beta=({beta_l:.4f}, {beta_h:.4f})  "
         f"eta_max={thermo.carnot_efficiency(beta_l, beta_h):.1f}"

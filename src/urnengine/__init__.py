@@ -31,15 +31,11 @@ from .urn import (
     two_level_ring,
 )
 from .analytic import (
-    OttoSpec,
     RingSpec,
     WorkStatistics,
     efficiency_otto,
     equilibrium_ring,
-    mean_heats_otto,
     mean_heats_ring,
-    mean_work_otto,
-    work_from_betas,
     work_statistics_general,
     work_statistics_ring,
 )
@@ -82,10 +78,8 @@ __all__ = [
     "log_degeneracy", "occupancy", "occupancy_np",
     "CycleOutcome", "EngineRing", "Group", "Reservoir", "draw_ball",
     "exchange_step", "make_reservoir", "otto_ring", "two_level_ring",
-    "OttoSpec", "RingSpec", "WorkStatistics", "efficiency_otto",
-    "equilibrium_ring", "mean_heats_otto", "mean_heats_ring",
-    "mean_work_otto", "work_from_betas", "work_statistics_general",
-    "work_statistics_ring",
+    "RingSpec", "WorkStatistics", "efficiency_otto", "equilibrium_ring",
+    "mean_heats_ring", "work_statistics_general", "work_statistics_ring",
     "CarnotEndpoints", "ContinuumHeats", "continuum_heats",
     "discretized_ring", "max_reversible_work", "otto_endpoints",
     "reversible_endpoints", "reversible_work",

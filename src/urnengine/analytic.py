@@ -15,65 +15,27 @@ and Var(W)/<W> measures the relative fluctuation of one cycle's output.  The
 same independence argument gives the general-weight extension
 sum_k (eps_k - eps_{k+1})^2 * Var(w_k), exposed separately.
 
-Otto means the two-reservoir (m = 1) engine; its efficiency 1 - eps_l/eps_h
-depends only on the altitudes.  ``work_from_betas`` evaluates the Otto mean
-work when both reservoirs sit at thermal occupancies f(beta*eps).
+The two-reservoir Otto engine is the m = 1 ring (``RingSpec.from_counts``);
+its efficiency 1 - eps_l/eps_h depends only on the altitudes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .thermo import occupancy, occupancy_np
+from .thermo import occupancy_np
 
 __all__ = [
-    "OttoSpec",
     "RingSpec",
     "WorkStatistics",
-    "mean_heats_otto",
-    "mean_work_otto",
     "efficiency_otto",
     "mean_heats_ring",
     "work_statistics_ring",
     "work_statistics_general",
-    "work_from_betas",
     "equilibrium_ring",
 ]
-
-
-@dataclass(frozen=True)
-class OttoSpec:
-    """Two-reservoir engine: altitudes eps_l < eps_h, total weights per urn.
-
-    ``w_low``/``w_high`` are summed ball weights; for the 0/1 model they are
-    the excited counts n_l, n_h (see ``from_counts``).
-    """
-
-    eps_l: float
-    eps_h: float
-    total: int
-    w_low: float
-    w_high: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eps_l < self.eps_h) or not math.isfinite(self.eps_h):
-            raise ValueError("invalid altitude order")
-        if self.total < 1:
-            raise ValueError("empty reservoir")
-        for w in (self.w_low, self.w_high):
-            if not math.isfinite(w) or w < 0.0:
-                raise ValueError("invalid population")
-
-    @classmethod
-    def from_counts(cls, eps_l: float, eps_h: float, total: int, n_l: int, n_h: int) -> "OttoSpec":
-        """0/1-weight spec from excited counts (each must not exceed total)."""
-        for n in (n_l, n_h):
-            if n < 0 or n > total:
-                raise ValueError("invalid population")
-        return cls(eps_l=eps_l, eps_h=eps_h, total=total, w_low=float(n_l), w_high=float(n_h))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +72,27 @@ class RingSpec:
         eps.flags.writeable = False
         f.flags.writeable = False
 
+    @classmethod
+    def from_counts(cls, altitudes, excited, total: int) -> "RingSpec":
+        """0/1-weight ring with ``excited[k]`` of ``total`` balls at weight 1.
+
+        Every low altitude must lie below every high one; at m = 1 that is
+        the Otto engine's 0 < eps_l < eps_h.
+        """
+        eps = np.asarray(altitudes, dtype=float)
+        n = np.asarray(excited)
+        if eps.ndim != 1 or eps.size < 2 or eps.size % 2 != 0 or n.shape != eps.shape:
+            raise ValueError("ring must hold 2m >= 2 reservoirs")
+        if np.any(n < 0) or np.any(n > total):
+            raise ValueError("invalid population")
+        m = eps.size // 2
+        if not (0.0 < eps.min() and eps[:m].max() < eps[m:].min() and np.isfinite(eps).all()):
+            raise ValueError("invalid altitude order")
+        if total < 1:
+            raise ValueError("empty reservoir")
+        f = n / total
+        return cls(altitudes=eps, mean_weights=f, bernoulli_f=f)
+
     @property
     def m(self) -> int:
         return len(self.altitudes) // 2
@@ -124,18 +107,6 @@ class WorkStatistics:
     ratio: float | None
 
 
-def mean_heats_otto(spec: OttoSpec) -> tuple[float, float]:
-    """Mean heat drawn from the low and high reservoirs per cycle."""
-    d = (spec.w_high - spec.w_low) / spec.total
-    return (spec.eps_l * d, -(spec.eps_h * d))
-
-
-def mean_work_otto(spec: OttoSpec) -> float:
-    """Mean work per cycle, exactly -(Q_l + Q_h) by energy conservation."""
-    q_l, q_h = mean_heats_otto(spec)
-    return -(q_l + q_h)
-
-
 def efficiency_otto(eps_l: float, eps_h: float) -> float:
     """Engine efficiency 1 - eps_l/eps_h; populations drop out entirely."""
     if not (0.0 < eps_l < eps_h):
@@ -143,28 +114,48 @@ def efficiency_otto(eps_l: float, eps_h: float) -> float:
     return 1.0 - eps_l / eps_h
 
 
+def _ring_heats(eps: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group heats and work over rows of rings: (Q_low, Q_high, W).
+
+    Row i holds one ring's altitudes ``eps[i]`` and mean weights ``f[i]``,
+    low group first; W = -(Q_low + Q_high) by energy conservation.
+    """
+    m = eps.shape[1] // 2
+    q = eps * (np.roll(f, 1, axis=1) - f)
+    q_low = q[:, :m].sum(axis=1)
+    q_high = q[:, m:].sum(axis=1)
+    return q_low, q_high, -(q_low + q_high)
+
+
+def _efficiency(work, q_high):
+    """eta = W/(-Q_h) where the hot side discharges (Q_h < 0), NaN elsewhere.
+
+    Works on floats and elementwise on arrays; NaN divides without raising.
+    """
+    return np.where(q_high < 0.0, work, np.nan) / -q_high
+
+
+def _equilibrium_weights(beta_l: float, beta_h: float, eps: np.ndarray) -> np.ndarray:
+    """Thermal occupancies f(beta*eps) over the last axis (low half, high half)."""
+    m = eps.shape[-1] // 2
+    f = np.empty_like(eps)
+    f[..., :m] = occupancy_np(float(beta_l) * eps[..., :m])
+    f[..., m:] = occupancy_np(float(beta_h) * eps[..., m:])
+    return f
+
+
 def mean_heats_ring(spec: RingSpec) -> tuple[float, float, float]:
     """Group heats (Q_low, Q_high) and mean work W = -(Q_low + Q_high)."""
-    eps = spec.altitudes
-    f = spec.mean_weights
-    q = eps * (np.roll(f, 1) - f)
-    m = spec.m
-    q_low = float(np.sum(q[:m]))
-    q_high = float(np.sum(q[m:]))
-    return q_low, q_high, -(q_low + q_high)
+    q_low, q_high, w = _ring_heats(spec.altitudes[None], spec.mean_weights[None])
+    return float(q_low[0]), float(q_high[0]), float(w[0])
 
 
 def work_statistics_ring(spec: RingSpec) -> WorkStatistics:
     """Exact mean/variance of one cycle's work for the 0/1-weight model."""
     if spec.bernoulli_f is None:
         raise ValueError("bernoulli fractions required for the 0/1 variance model")
-    eps = spec.altitudes
     f = spec.bernoulli_f
-    d = eps - np.roll(eps, -1)
-    mean = float(d @ f)
-    variance = float((d * d) @ (f * (1.0 - f)))
-    ratio = variance / mean if mean != 0.0 else None
-    return WorkStatistics(mean=mean, variance=variance, ratio=ratio)
+    return work_statistics_general(spec.altitudes, f, f * (1.0 - f))
 
 
 def work_statistics_general(
@@ -190,18 +181,6 @@ def work_statistics_general(
     return WorkStatistics(mean=mean, variance=variance, ratio=ratio)
 
 
-def work_from_betas(
-    eps_l: float, eps_h: float, beta_l: float, beta_h: float
-) -> float:
-    """Otto mean work with both reservoirs thermal:
-    (eps_h - eps_l) * (f(beta_h*eps_h) - f(beta_l*eps_l))."""
-    if not (eps_l > 0.0 and eps_h > 0.0):
-        raise ValueError("invalid altitude order")
-    bl = float(beta_l)
-    bh = float(beta_h)
-    return (eps_h - eps_l) * (occupancy(bh * eps_h) - occupancy(bl * eps_l))
-
-
 def equilibrium_ring(
     beta_l: float, beta_h: float, eps_low: np.ndarray, eps_high: np.ndarray
 ) -> RingSpec:
@@ -214,7 +193,6 @@ def equilibrium_ring(
     hi = np.asarray(eps_high, dtype=float)
     if lo.ndim != 1 or lo.shape != hi.shape or lo.size == 0:
         raise ValueError("branches must be equal-length non-empty sequences")
-    f = np.concatenate([occupancy_np(float(beta_l) * lo), occupancy_np(float(beta_h) * hi)])
-    return RingSpec(
-        altitudes=np.concatenate([lo, hi]), mean_weights=f, bernoulli_f=f
-    )
+    eps = np.concatenate([lo, hi])
+    f = _equilibrium_weights(beta_l, beta_h, eps)
+    return RingSpec(altitudes=eps, mean_weights=f, bernoulli_f=f)

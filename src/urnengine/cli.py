@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -144,16 +144,11 @@ def _handle_analytic_otto(args: argparse.Namespace) -> CommandResult:
         "eps_l": args.eps_l, "eps_h": args.eps_h, "N": args.N,
         "n_l": args.n_l, "n_h": args.n_h,
     }
-    spec = analytic.OttoSpec.from_counts(args.eps_l, args.eps_h, args.N, args.n_l, args.n_h)
-    q_l, q_h = analytic.mean_heats_otto(spec)
-    ring = analytic.RingSpec(
-        altitudes=np.array([args.eps_l, args.eps_h]),
-        mean_weights=np.array([args.n_l / args.N, args.n_h / args.N]),
-        bernoulli_f=np.array([args.n_l / args.N, args.n_h / args.N]),
-    )
-    stats = analytic.work_statistics_ring(ring)
+    spec = analytic.RingSpec.from_counts([args.eps_l, args.eps_h], [args.n_l, args.n_h], args.N)
+    q_l, q_h, w = analytic.mean_heats_ring(spec)
+    stats = analytic.work_statistics_ring(spec)
     outputs: dict[str, Any] = {
-        "W": analytic.mean_work_otto(spec),
+        "W": w,
         "eta": analytic.efficiency_otto(args.eps_l, args.eps_h),
         "Q_l": q_l,
         "Q_h": q_h,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import RingSpec, equilibrium_ring
+from .analytic import RingSpec, _efficiency, equilibrium_ring
 from .thermo import _entropy, carnot_efficiency
 
 __all__ = [
@@ -118,13 +118,25 @@ class ContinuumHeats:
     efficiency: float | None
 
 
+def _branch_heats(
+    beta_l: float, beta_h: float, l1: float, lm: float, h1: float, hm: float
+) -> tuple[float, float]:
+    """(Q_l, Q_h) at reduced endpoints, unvalidated: the optimizer's inner loop
+    calls this too."""
+    q_l = (_entropy(l1, hm) - _entropy(lm, lm)) / beta_l
+    q_h = (_entropy(h1, lm) - _entropy(hm, hm)) / beta_h
+    return q_l, q_h
+
+
 def continuum_heats(ep: CarnotEndpoints) -> ContinuumHeats:
     """Branch heats of the continuum cycle at the given endpoints."""
-    q_l = (_entropy(ep.cold_first, ep.hot_last) - _entropy(ep.cold_last, ep.cold_last)) / ep.beta_l
-    q_h = (_entropy(ep.hot_first, ep.cold_last) - _entropy(ep.hot_last, ep.hot_last)) / ep.beta_h
+    q_l, q_h = _branch_heats(
+        ep.beta_l, ep.beta_h, ep.cold_first, ep.cold_last, ep.hot_first, ep.hot_last
+    )
     w = -(q_l + q_h)
-    eta = w / -q_h if q_h < 0.0 else None
-    return ContinuumHeats(heat_low=q_l, heat_high=q_h, work=w, efficiency=eta)
+    eta = float(_efficiency(w, q_h))
+    return ContinuumHeats(heat_low=q_l, heat_high=q_h, work=w,
+                          efficiency=None if math.isnan(eta) else eta)
 
 
 def reversible_work(

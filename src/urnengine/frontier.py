@@ -31,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import equilibrium_ring, mean_heats_ring
-from .continuum import CarnotEndpoints, continuum_heats
-from .thermo import _entropy, occupancy, occupancy_np
+from .analytic import _efficiency, _equilibrium_weights, _ring_heats
+from .continuum import CarnotEndpoints, _branch_heats, continuum_heats
+from .montecarlo import _checked_seed
+from .thermo import occupancy
 
 __all__ = [
     "Mode",
@@ -101,17 +102,14 @@ class RegionSample:
         return [(float(w), float(e)) for w, e in zip(self.work, self.efficiency)]
 
 
-def _norm_seed(seed: int) -> int:
-    return seed & ((1 << 64) - 1)
-
-
 def evaluate_configs(
     beta_l: float, beta_h: float, eps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (work, eta, engine-flag) over rows of altitude configs.
 
     Each row is (eps_low_1..eps_low_m, eps_high_1..eps_high_m); occupancies
-    are the equilibrium f(beta*eps) of the owning branch.
+    are the equilibrium f(beta*eps) of the owning branch.  eta is NaN on
+    non-engine rows, where the hot side does not discharge.
     """
     eps = np.atleast_2d(np.asarray(eps, dtype=float))
     n = eps.shape[1]
@@ -119,18 +117,8 @@ def evaluate_configs(
         raise ValueError("ring must hold 2m >= 2 reservoirs")
     if not np.all(np.isfinite(eps)) or np.any(eps <= 0.0):
         raise ValueError("invalid altitude")
-    m = n // 2
-    bl = float(beta_l)
-    bh = float(beta_h)
-    f = np.empty_like(eps)
-    f[:, :m] = occupancy_np(bl * eps[:, :m])
-    f[:, m:] = occupancy_np(bh * eps[:, m:])
-    q = eps * (np.roll(f, 1, axis=1) - f)
-    q_high = q[:, m:].sum(axis=1)
-    work = -q.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.where(q_high != 0.0, work / -q_high, np.nan)
-    return work, eta, -q_high > 0.0
+    _, q_high, work = _ring_heats(eps, _equilibrium_weights(beta_l, beta_h, eps))
+    return work, _efficiency(work, q_high), q_high < 0.0
 
 
 def sample_region(
@@ -152,7 +140,7 @@ def sample_region(
         raise ValueError("samples must be >= 1")
     if not (eps_max > 0.0) or not math.isfinite(eps_max):
         raise ValueError("invalid altitude")
-    rng = np.random.default_rng(_norm_seed(seed))
+    rng = np.random.default_rng(_checked_seed(seed))
     eps = eps_max * (1.0 - rng.random((samples, 2 * m)))
     work, eta, engine = evaluate_configs(beta_l, beta_h, eps)
     for arr in (work, eta, engine, eps):
@@ -161,14 +149,22 @@ def sample_region(
 
 
 def _regime_ok(w: float, q_high: float, pump: bool) -> bool:
-    # engines draw heat from the hot side and deliver work; pumps invert both
+    """Optimizer feasibility: engines draw heat from the hot side and deliver
+    work; pumps invert both.  A feasible point reports eta = W/(-Q_h) in
+    either regime, so a pump's eta (the inverse of its COP) is the one
+    deliberate exception to analytic._efficiency's rule."""
     if pump:
         return q_high > 0.0 and w <= 0.0
     return q_high < 0.0 and w >= 0.0
 
 
 def _ring_point(beta_l: float, beta_h: float, m: int, pump: bool):
-    """Scalar fast path: eps list -> (work, eta, valid)."""
+    """Scalar fast path: eps list -> (work, eta, valid).
+
+    A deliberate scalar copy of analytic._ring_heats: one call costs a few
+    microseconds here against tens for a one-row numpy evaluation, and the
+    descent makes hundreds of thousands of calls.
+    """
     bl = float(beta_l)
     bh = float(beta_h)
 
@@ -199,9 +195,7 @@ def _carnot_point(beta_l: float, beta_h: float, pump: bool):
     sh = math.copysign(1.0, bh)
 
     def point(u: list[float]) -> tuple[float, float, bool]:
-        l1, lm, h1, hm = sl * u[0], sl * u[1], sh * u[2], sh * u[3]
-        q_l = (_entropy(l1, hm) - _entropy(lm, lm)) / bl
-        q_h = (_entropy(h1, lm) - _entropy(hm, hm)) / bh
+        q_l, q_h = _branch_heats(bl, bh, sl * u[0], sl * u[1], sh * u[2], sh * u[3])
         w = -(q_l + q_h)
         if not _regime_ok(w, q_h, pump):
             return w, math.nan, False
@@ -277,8 +271,12 @@ def _solve_start(point, x0: list[float], sign: float, target: float, tol_w: floa
 
 def _multistart(point, public, ndim: int, sign: float, target: float, tol_w: float,
                 budget: int, starts: int, seed: int, extent: float):
-    """Run all starts, verify with the public evaluator, pick the winner."""
-    children = np.random.SeedSequence(_norm_seed(seed)).spawn(starts)
+    """Run all starts, verify with the public evaluator, pick the winner.
+
+    ``public(x)`` re-evaluates (W, Q_high) apart from the scalar fast path.
+    """
+    children = np.random.SeedSequence(_checked_seed(seed)).spawn(starts)
+    pump = target < 0.0
     step0 = extent / 8.0
     total_evals = 0
     found = []  # (eta_public, start_index, x, w_public)
@@ -297,9 +295,9 @@ def _multistart(point, public, ndim: int, sign: float, target: float, tol_w: flo
         total_evals += used
         if not fast_ok:
             continue
-        w_pub, eta_pub, ok_pub = public(x)
-        if ok_pub and abs(w_pub - target) <= tol_w:
-            found.append((eta_pub, si, x, w_pub))
+        w_pub, q_pub = public(x)
+        if _regime_ok(w_pub, q_pub, pump) and abs(w_pub - target) <= tol_w:
+            found.append((w_pub / -q_pub, si, x, w_pub))
     if not found:
         raise ValueError("infeasible or budget too small")
     best_eta = min(sign * e for e, _, _, _ in found)
@@ -310,35 +308,24 @@ def _multistart(point, public, ndim: int, sign: float, target: float, tol_w: flo
     return x, eta, w, winner[0], total_evals
 
 
-def _public_ring(beta_l: float, beta_h: float, m: int, pump: bool):
-    def public(eps: list[float]) -> tuple[float, float, bool]:
-        spec = equilibrium_ring(beta_l, beta_h, np.asarray(eps[:m]), np.asarray(eps[m:]))
-        _, q_high, w = mean_heats_ring(spec)
-        if not _regime_ok(w, q_high, pump):
-            return w, math.nan, False
-        return w, w / -q_high, True
+def _public_ring(beta_l: float, beta_h: float):
+    def public(eps: list[float]) -> tuple[float, float]:
+        row = np.array([eps])
+        _, q_high, w = _ring_heats(row, _equilibrium_weights(beta_l, beta_h, row))
+        return float(w[0]), float(q_high[0])
 
     return public
 
 
-def _public_carnot(beta_l: float, beta_h: float, pump: bool):
-    sl = math.copysign(1.0, float(beta_l))
-    sh = math.copysign(1.0, float(beta_h))
+def _public_carnot(beta_l: float, beta_h: float):
+    bl = float(beta_l)
+    bh = float(beta_h)
+    sl = math.copysign(1.0, bl)
+    sh = math.copysign(1.0, bh)
 
-    def public(u: list[float]) -> tuple[float, float, bool]:
-        ep = CarnotEndpoints(
-            beta_l=float(beta_l),
-            beta_h=float(beta_h),
-            cold_first=sl * u[0],
-            cold_last=sl * u[1],
-            hot_first=sh * u[2],
-            hot_last=sh * u[3],
-        )
-        res = continuum_heats(ep)
-        if not _regime_ok(res.work, res.heat_high, pump):
-            return res.work, math.nan, False
-        # eta = W/(-Q_h) in both regimes; its inverse is the pump COP
-        return res.work, res.work / -res.heat_high, True
+    def public(u: list[float]) -> tuple[float, float]:
+        res = continuum_heats(CarnotEndpoints(bl, bh, sl * u[0], sl * u[1], sh * u[2], sh * u[3]))
+        return res.work, res.heat_high
 
     return public
 
@@ -369,7 +356,7 @@ def optimize_efficiency(
     sign = -1.0 if mode is Mode.MAX else 1.0
     pump = target_work < 0.0
     point = _ring_point(beta_l, beta_h, m, pump)
-    public = _public_ring(beta_l, beta_h, m, pump)
+    public = _public_ring(beta_l, beta_h)
     x, eta, w, start, evals = _multistart(
         point, public, 2 * m, sign, target_work, tol_w, budget, starts, seed, init_extent
     )
@@ -409,7 +396,7 @@ def carnot_frontier(
     sign = -1.0 if mode is Mode.MAX else 1.0
     pump = target_work < 0.0
     point = _carnot_point(beta_l, beta_h, pump)
-    public = _public_carnot(beta_l, beta_h, pump)
+    public = _public_carnot(beta_l, beta_h)
     x, eta, w, start, evals = _multistart(
         point, public, 4, sign, target_work, tol_w, budget, starts, seed, init_extent
     )
@@ -448,8 +435,8 @@ def max_work(
     if init_extent is None:
         init_extent = 16.0 / min(abs(float(beta_l)), abs(float(beta_h)))
     point = _ring_point(beta_l, beta_h, m, pump=False)
-    public = _public_ring(beta_l, beta_h, m, pump=False)
-    children = np.random.SeedSequence(_norm_seed(seed)).spawn(starts)
+    public = _public_ring(beta_l, beta_h)
+    children = np.random.SeedSequence(_checked_seed(seed)).spawn(starts)
     step0 = init_extent / 8.0
     best: tuple[float, int, list[float]] | None = None
     total = 0
@@ -489,7 +476,7 @@ def frontier_curve(
     ``m=None`` means the continuum cycle.  Each target gets its own
     deterministic child seed, so the curve is reproducible as a whole.
     """
-    children = np.random.SeedSequence(_norm_seed(seed)).spawn(len(targets))
+    children = np.random.SeedSequence(_checked_seed(seed)).spawn(len(targets))
     points = []
     for target, child in zip(targets, children):
         child_seed = int(child.generate_state(1, np.uint64)[0])

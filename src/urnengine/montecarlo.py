@@ -117,6 +117,13 @@ class _Partial:
     violations: int
 
 
+def _checked_seed(seed: int) -> int:
+    """The seed itself, if it is a 64-bit key; a domain error otherwise."""
+    if not 0 <= seed < _WORD:
+        raise ValueError("seed must be in [0, 2**64)")
+    return seed
+
+
 def _draw_weights(tables: _Tables, key: int, lo: int, hi: int) -> np.ndarray:
     """Weight matrix (hi-lo trials, 2m reservoirs) for the trial window [lo, hi)."""
     n_res = len(tables.eps)
@@ -151,17 +158,21 @@ def _chunk_stats(tables: _Tables, key: int, lo: int, hi: int) -> _Partial:
     n_res = len(tables.eps)
     w = _draw_weights(tables, key, lo, hi)
     work = np.zeros(hi - lo)
+    # the audit bounds the residual by its summands, not by |W|: when every
+    # draw has the same weight the heats are 0 and W is pure rounding residue
+    scale = np.zeros(hi - lo)
     for k in range(n_res):
-        work += tables.deltas[k] * w[:, k]
+        term = tables.deltas[k] * w[:, k]
+        work += term
+        scale += np.abs(term, out=term)
     heats = np.empty_like(w)
-    for k in range(n_res):
-        heats[:, k] = tables.eps[k] * (w[:, k - 1] - w[:, k])
     # conservation audit: same left-to-right order as CycleOutcome
     residual = work.copy()
-    scale = np.abs(work)
     for k in range(n_res):
-        residual += heats[:, k]
-        scale += np.abs(heats[:, k])
+        q = tables.eps[k] * (w[:, k - 1] - w[:, k])
+        heats[:, k] = q
+        residual += q
+        scale += np.abs(q, out=q)
     violations = int(np.count_nonzero(np.abs(residual) > 1e-12 * scale))
 
     mean = float(work.mean())
@@ -210,8 +221,8 @@ def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> 
         raise ValueError("empty ensemble")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    key = _checked_seed(seed)
     tables = _Tables(ring)
-    key = seed & (_WORD - 1)
     ranges = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
     if workers == 1 or len(ranges) == 1:
         partials = [_chunk_stats(tables, key, lo, hi) for lo, hi in ranges]

@@ -23,8 +23,8 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 def test_otto_engine_worked_example():
     t0 = time.perf_counter()
-    spec = analytic.OttoSpec.from_counts(1.0, 2.0, N_BALLS, 2000, 3000)
-    w = analytic.mean_work_otto(spec)
+    spec = analytic.RingSpec.from_counts([1.0, 2.0], [2000, 3000], N_BALLS)
+    w = analytic.mean_heats_ring(spec)[2]
     eta = analytic.efficiency_otto(1.0, 2.0)
     beta_l = thermo.beta_from_occupancy(2000, N_BALLS, 1.0).beta
     beta_h = thermo.beta_from_occupancy(3000, N_BALLS, 2.0).beta
@@ -52,8 +52,8 @@ def test_otto_engine_worked_example():
 
 def test_heat_pump_worked_example():
     # swapping the populations reverses both heat flows and the work sign
-    spec = analytic.OttoSpec.from_counts(1.0, 2.0, N_BALLS, 3000, 2000)
-    w = analytic.mean_work_otto(spec)
+    spec = analytic.RingSpec.from_counts([1.0, 2.0], [3000, 2000], N_BALLS)
+    w = analytic.mean_heats_ring(spec)[2]
     cop = 1.0 / analytic.efficiency_otto(1.0, 2.0)
     beta_l = thermo.beta_from_occupancy(3000, N_BALLS, 1.0).beta
     beta_h = thermo.beta_from_occupancy(2000, N_BALLS, 2.0).beta
@@ -78,8 +78,8 @@ def test_negative_temperature_branches():
     b2 = thermo.beta_from_occupancy(8000, N_BALLS, 2.0).beta
     beta_l = thermo.beta_from_occupancy(4500, N_BALLS, 1.0).beta
     beta_h = thermo.beta_from_occupancy(5500, N_BALLS, 2.0).beta
-    spec = analytic.OttoSpec.from_counts(1.0, 2.0, N_BALLS, 4500, 5500)
-    w = analytic.mean_work_otto(spec)
+    spec = analytic.RingSpec.from_counts([1.0, 2.0], [4500, 5500], N_BALLS)
+    w = analytic.mean_heats_ring(spec)[2]
     eta = analytic.efficiency_otto(1.0, 2.0)
     eta_max = thermo.carnot_efficiency(beta_l, beta_h)
     ok = (

@@ -19,35 +19,47 @@ def ring(eps, f, bernoulli=True):
 
 
 def test_otto_heats_work_efficiency_oracle():
-    spec = analytic.OttoSpec.from_counts(1.0, 2.0, 10_000, 2000, 3000)
-    q_l, q_h = analytic.mean_heats_otto(spec)
+    spec = analytic.RingSpec.from_counts([1.0, 2.0], [2000, 3000], 10_000)
+    q_l, q_h, w = analytic.mean_heats_ring(spec)
     assert q_l == pytest.approx(0.1, abs=1e-15)
     assert q_h == pytest.approx(-0.2, abs=1e-15)
-    assert analytic.mean_work_otto(spec) == pytest.approx(0.1, abs=1e-15)
+    assert w == pytest.approx(0.1, abs=1e-15)
     assert analytic.efficiency_otto(1.0, 2.0) == 0.5
 
 
 def test_otto_second_oracle():
-    spec = analytic.OttoSpec.from_counts(1.0, 3.0, 100, 10, 40)
-    q_l, q_h = analytic.mean_heats_otto(spec)
+    spec = analytic.RingSpec.from_counts([1.0, 3.0], [10, 40], 100)
+    q_l, q_h, _ = analytic.mean_heats_ring(spec)
     assert q_l == pytest.approx(0.3, abs=1e-15)
     assert q_h == pytest.approx(-0.9, abs=1e-15)
 
 
 def test_otto_pump_sign():
-    spec = analytic.OttoSpec.from_counts(1.0, 2.0, 10_000, 3000, 2000)
-    assert analytic.mean_work_otto(spec) == pytest.approx(-0.1, abs=1e-15)
+    spec = analytic.RingSpec.from_counts([1.0, 2.0], [3000, 2000], 10_000)
+    assert analytic.mean_heats_ring(spec)[2] == pytest.approx(-0.1, abs=1e-15)
 
 
 def test_otto_validation():
     with pytest.raises(ValueError, match="invalid altitude order"):
-        analytic.OttoSpec.from_counts(2.0, 1.0, 10, 2, 3)
+        analytic.RingSpec.from_counts([2.0, 1.0], [2, 3], 10)
     with pytest.raises(ValueError, match="empty reservoir"):
-        analytic.OttoSpec.from_counts(1.0, 2.0, 0, 0, 0)
+        analytic.RingSpec.from_counts([1.0, 2.0], [0, 0], 0)
     with pytest.raises(ValueError, match="invalid population"):
-        analytic.OttoSpec.from_counts(1.0, 2.0, 10, 11, 3)
+        analytic.RingSpec.from_counts([1.0, 2.0], [11, 3], 10)
     with pytest.raises(ValueError, match="invalid altitude order"):
         analytic.efficiency_otto(3.0, 2.0)
+
+
+def test_from_counts_is_the_ring_at_fractions_n_over_total():
+    spec = analytic.RingSpec.from_counts([1.0, 1.5, 3.0, 2.5], [2, 3, 5, 4], 10)
+    assert spec.m == 2
+    assert np.array_equal(spec.mean_weights, [0.2, 0.3, 0.5, 0.4])
+    assert np.array_equal(spec.bernoulli_f, spec.mean_weights)
+    # every low altitude lies below every high one
+    with pytest.raises(ValueError, match="invalid altitude order"):
+        analytic.RingSpec.from_counts([1.0, 3.0, 2.0, 4.0], [2, 3, 5, 4], 10)
+    with pytest.raises(ValueError, match="ring must hold"):
+        analytic.RingSpec.from_counts([1.0, 2.0], [2, 3, 4], 10)
 
 
 def test_work_statistics_oracle():
@@ -88,13 +100,14 @@ def test_ring_reduces_to_otto_at_m_equal_one(seed):
     eps_h = eps_l + float(rng.uniform(0.01, 5.0))
     n_l = int(rng.integers(0, 101))
     n_h = int(rng.integers(0, 101))
-    otto = analytic.OttoSpec.from_counts(eps_l, eps_h, 100, n_l, n_h)
-    q_l, q_h = analytic.mean_heats_otto(otto)
-    spec = ring([eps_l, eps_h], [n_l / 100, n_h / 100])
+    # two-reservoir Otto closed forms: Q_l = eps_l*d, Q_h = -eps_h*d, W = -(Q_l + Q_h)
+    d = (n_h - n_l) / 100
+    q_l, q_h = eps_l * d, -(eps_h * d)
+    spec = analytic.RingSpec.from_counts([eps_l, eps_h], [n_l, n_h], 100)
     q_low, q_high, w = analytic.mean_heats_ring(spec)
     assert q_low == pytest.approx(q_l, abs=1e-14)
     assert q_high == pytest.approx(q_h, abs=1e-14)
-    assert w == pytest.approx(analytic.mean_work_otto(otto), abs=1e-14)
+    assert w == pytest.approx(-(q_l + q_h), abs=1e-14)
 
 
 def test_m2_finite_ring_approximates_continuum():
@@ -119,8 +132,9 @@ def test_equilibrium_ring_validation():
         analytic.equilibrium_ring(1.0, 0.5, [], [])
 
 
-def test_work_from_betas_matches_equilibrium_ring():
-    w = analytic.work_from_betas(2.5, 4.6, 1.38, 0.42)
+def test_thermal_otto_work_matches_equilibrium_ring():
+    # Otto work with both reservoirs thermal: (eps_h - eps_l)(f(beta_h eps_h) - f(beta_l eps_l))
+    w = (4.6 - 2.5) * (thermo.occupancy(0.42 * 4.6) - thermo.occupancy(1.38 * 2.5))
     spec = analytic.equilibrium_ring(1.38, 0.42, [2.5], [4.6])
     _, _, w2 = analytic.mean_heats_ring(spec)
     assert w == pytest.approx(w2, rel=1e-14)

@@ -54,10 +54,10 @@ def test_otto_known_values(capsys):
 def test_otto_inputs_reproduce_outputs(capsys):
     doc = run_json(OTTO, capsys)
     inp = doc["inputs"]
-    spec = analytic.OttoSpec.from_counts(
-        inp["eps_l"], inp["eps_h"], inp["N"], inp["n_l"], inp["n_h"]
+    spec = analytic.RingSpec.from_counts(
+        [inp["eps_l"], inp["eps_h"]], [inp["n_l"], inp["n_h"]], inp["N"]
     )
-    assert analytic.mean_work_otto(spec) == pytest.approx(doc["outputs"]["W"], abs=1e-12)
+    assert analytic.mean_heats_ring(spec)[2] == pytest.approx(doc["outputs"]["W"], abs=1e-12)
     beta = thermo.beta_from_occupancy(inp["n_l"], inp["N"], inp["eps_l"]).beta
     assert beta == pytest.approx(doc["outputs"]["beta_l"], abs=1e-12)
 
@@ -177,6 +177,23 @@ def test_simulate_ring_mode(capsys):
     doc = run_json(argv, capsys)
     assert doc["inputs"]["eps"] == [0.7, 1.3, 3.1, 2.9]
     assert doc["outputs"]["conservation_violations"] == 0
+
+
+def test_simulate_equal_weight_draws_pass_the_audit(capsys):
+    # all draws of a trial share one weight, so every heat is 0 and W is
+    # rounding residue; that residue is not a conservation violation
+    argv = ["simulate", "--eps", "0.1,0.2,0.7,0.3", "--n", "9,9,9,9",
+            "--N", "10", "--trials", "100000", "--seed", "1"]
+    doc = run_json(argv, capsys)
+    assert doc["outputs"]["conservation_violations"] == 0
+
+
+def test_simulate_rejects_negative_seed(capsys):
+    code, out, err = run_cli(["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "2",
+                              "--n-h", "3", "--N", "10", "--trials", "10", "--seed", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "seed must be in" in json.loads(err)["error"]
 
 
 def test_simulate_requires_a_complete_ring(capsys):

@@ -67,6 +67,41 @@ def test_region_sample_contract():
     assert np.allclose(e2[same], sample.efficiency[same])
 
 
+def test_region_eta_undefined_off_engine():
+    sample = frontier.sample_region(1, BL, BH, 2000, 10.0, seed=3)
+    off = ~sample.engine
+    assert int(off.sum()) == 304
+    assert np.isnan(sample.efficiency[off]).all()
+    # engine rows keep eta = W/(-Q_h) with W summed over the whole ring
+    eps = sample.eps
+    f = np.concatenate([thermo.occupancy_np(BL * eps[:, :1]),
+                        thermo.occupancy_np(BH * eps[:, 1:])], axis=1)
+    q = eps * (np.roll(f, 1, axis=1) - f)
+    eta = -q.sum(axis=1) / -q[:, 1:].sum(axis=1)
+    assert np.array_equal(sample.efficiency[sample.engine], eta[sample.engine])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_scalar_fast_path_matches_batched_kernel(m):
+    # the optimizer's scalar objective is a deliberate copy of the ring kernel
+    eps = 8.0 * (1.0 - np.random.default_rng(m).random((300, 2 * m)))
+    work, eta, engine = frontier.evaluate_configs(BL, BH, eps)
+    point = frontier._ring_point(BL, BH, m, pump=False)
+    for i in range(len(eps)):
+        w, e, ok = point(list(eps[i]))
+        assert w == pytest.approx(work[i], rel=1e-12, abs=1e-15)
+        if ok:
+            assert engine[i] and e == pytest.approx(eta[i], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_a_domain_error(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        frontier.sample_region(1, BL, BH, 10, 5.0, seed=seed)
+    with pytest.raises(ValueError, match="seed must be in"):
+        frontier.optimize_efficiency(1, BL, BH, 0.1, **{**FAST, "seed": seed})
+
+
 def test_region_validation():
     with pytest.raises(ValueError, match="samples"):
         frontier.sample_region(1, BL, BH, 0, 5.0, seed=1)

@@ -19,6 +19,13 @@ def test_run_ensemble_validation():
         montecarlo.run_ensemble(ring, 10, seed=1, workers=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_a_domain_error(seed):
+    ring = urn.otto_ring(1.0, 2.0, 2, 3, 10)
+    with pytest.raises(ValueError, match="seed must be in"):
+        montecarlo.run_ensemble(ring, 10, seed)
+
+
 def test_same_seed_reproduces_bitwise():
     ring = otto_oracle_ring()
     a = montecarlo.run_ensemble(ring, 50_000, seed=123)
