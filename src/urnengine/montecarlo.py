@@ -8,8 +8,9 @@ draws plus at least four spare words), so any partition of trials over
 workers sees the same draws.  Trials are processed in fixed-size chunks
 regardless of worker count; each chunk reduces to partial statistics (count,
 mean, M2, per-reservoir heat means, work histogram, conservation violations)
-and the partials merge pairwise in chunk order, which pins every floating
-point operation independent of scheduling.
+and the partials fold into one accumulator in chunk order as they arrive,
+which pins every floating point operation independent of scheduling and
+keeps memory flat in the number of chunks.
 
 Ball selection is exactly uniform: a 64-bit word r is accepted iff
 r < 2^64 - (2^64 mod N), making r mod N uniform over [0, N); the rare
@@ -19,6 +20,12 @@ spare words in a deterministic order.
 Work and heats use the same accumulation order as urn.exchange_step, so for
 0/1 weights the per-trial work values land on exactly the same floats the
 exact enumeration in compare_to_analytic produces.
+
+0/1 rings with 2m <= 20 (the enumeration limit) skip per-trial weights: a
+trial becomes the 2m-bit code of its draws, each code's work is tabulated once
+per run in ring order and the audit runs once per distinct drawn code, so
+moments, histogram and violations equal the trial path's.  Mean heats come
+from per-reservoir counts of weight-1 draws, eps_k (ones_{k-1} - ones_k) / n.
 """
 
 from __future__ import annotations
@@ -90,7 +97,7 @@ class _Tables:
         n = len(self.eps)
         self.deltas = [self.eps[k] - self.eps[(k + 1) % n] for k in range(n)]
         self.weights = [np.asarray(r.weights, dtype=float) for r in ring.reservoirs]
-        self.cums = [np.asarray(r.cumulative_counts) for r in ring.reservoirs]
+        self.cums = [r.cumulative_counts.astype(np.uint64) for r in ring.reservoirs]
         self.total = ring.total
         rem = _WORD % self.total
         self.threshold = np.uint64(_WORD - rem) if rem else None
@@ -105,6 +112,13 @@ class _Tables:
             lo += float(contrib.min())
             hi += float(contrib.max())
         self.support = (lo, hi)
+        # 0/1 rings that exact_work_distribution can enumerate: a trial is the
+        # 2m-bit code of its draws (bit k set when reservoir k drew weight 1)
+        self.code_work = None
+        if self.two_level and n <= 20:
+            zeros = [r.counts[r.weights == 0.0].sum() for r in ring.reservoirs]
+            self.zeros = np.array(zeros, dtype=np.uint64)[:, None]  # weight-0 balls
+            self.code_work = _code_work(self.deltas)
 
 
 @dataclass
@@ -124,75 +138,117 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
-def _draw_weights(tables: _Tables, key: int, lo: int, hi: int) -> np.ndarray:
-    """Weight matrix (hi-lo trials, 2m reservoirs) for the trial window [lo, hi)."""
+def _ball_indices(tables: _Tables, key: int, lo: int, hi: int) -> np.ndarray:
+    """Uniform ball indices in [0, N), shape (2m reservoirs, hi-lo trials)."""
     n_res = len(tables.eps)
     n_tr = hi - lo
     bg = np.random.Philox(key=key, counter=lo * tables.blocks_per_trial)
     raw = bg.random_raw(n_tr * tables.words_per_trial).reshape(n_tr, tables.words_per_trial)
     draws = raw[:, :n_res]
     spares = raw[:, n_res:]
-    cursor = np.zeros(n_tr, dtype=np.int64)  # next spare word per trial
-    total = np.uint64(tables.total)
-    out = np.empty((n_tr, n_res), dtype=float)
-    for k in range(n_res):
-        r = draws[:, k].copy()
-        if tables.threshold is not None:
-            for t in np.nonzero(r >= tables.threshold)[0]:
-                # deterministic replacement from this trial's spares
-                while True:
-                    c = cursor[t]
-                    if c >= spares.shape[1]:
-                        raise RuntimeError("rejection spares exhausted; change the seed")
-                    cursor[t] = c + 1
-                    if spares[t, c] < tables.threshold:
-                        r[t] = spares[t, c]
-                        break
-        idx = (r % total).astype(np.int64)
-        classes = np.searchsorted(tables.cums[k], idx, side="right")
-        out[:, k] = tables.weights[k][classes]
-    return out
+    if tables.threshold is not None and draws.max() >= tables.threshold:
+        cursor = np.zeros(n_tr, dtype=np.int64)  # next spare word per trial
+        # trial-major order: each trial's spares replace its draws in ring order
+        for t, k in zip(*np.nonzero(draws >= tables.threshold)):
+            while True:
+                c = cursor[t]
+                if c >= spares.shape[1]:
+                    raise RuntimeError("rejection spares exhausted; change the seed")
+                cursor[t] = c + 1
+                if spares[t, c] < tables.threshold:
+                    draws[t, k] = spares[t, c]
+                    break
+    return np.remainder(draws.T, np.uint64(tables.total), order="C")
 
 
-def _chunk_stats(tables: _Tables, key: int, lo: int, hi: int) -> _Partial:
+def _work_audit(tables: _Tables, column, heat_sums: np.ndarray | None = None):
+    """Work and conservation-audit verdict per row from ``column(k)``, the
+    drawn weights of reservoir k, in urn.exchange_step's order; fills
+    ``heat_sums[k]`` with reservoir k's heats summed in row order, if given.
+    The audit bounds the residual by its summands, not by |W|: with equal
+    draws the heats are 0 and W is rounding residue."""
     n_res = len(tables.eps)
-    w = _draw_weights(tables, key, lo, hi)
-    work = np.zeros(hi - lo)
-    # the audit bounds the residual by its summands, not by |W|: when every
-    # draw has the same weight the heats are 0 and W is pure rounding residue
-    scale = np.zeros(hi - lo)
+    work = np.zeros_like(column(0))
+    scale = np.zeros_like(work)
     for k in range(n_res):
-        term = tables.deltas[k] * w[:, k]
+        term = tables.deltas[k] * column(k)
         work += term
         scale += np.abs(term, out=term)
-    heats = np.empty_like(w)
-    # conservation audit: same left-to-right order as CycleOutcome
     residual = work.copy()
     for k in range(n_res):
-        q = tables.eps[k] * (w[:, k - 1] - w[:, k])
-        heats[:, k] = q
+        q = tables.eps[k] * (column((k - 1) % n_res) - column(k))
+        if heat_sums is not None:  # a running sum, not np.sum's pairwise one
+            heat_sums[k] = np.cumsum(q)[-1]
         residual += q
         scale += np.abs(q, out=q)
-    violations = int(np.count_nonzero(np.abs(residual) > 1e-12 * scale))
+    return work, np.abs(residual) > 1e-12 * scale
+
+
+def _code_work(deltas) -> np.ndarray:
+    """Work of every 0/1 draw code, summed in ring order like the trial path:
+    codes with bit k set are those below 2^k plus 2^k, with d_k added."""
+    work = np.zeros(1)
+    for d in deltas:
+        work = np.concatenate([work, work + d])
+    return work
+
+
+def _code_summary(tables: _Tables, counts: np.ndarray) -> tuple[dict[float, int], int]:
+    """Work histogram (sorted ring-order keys) and audit violations of a
+    histogram of codes, each drawn code evaluated once."""
+    codes = np.flatnonzero(counts)
+    drawn = counts[codes]
+    work, bad = _work_audit(tables, lambda k: (codes >> k & 1) * 1.0)
+    vals, inverse = np.unique(work, return_inverse=True)
+    keyed = np.bincount(inverse, weights=drawn)
+    return {float(v): int(c) for v, c in zip(vals, keyed)}, int(drawn[bad].sum())
+
+
+def _code_stats(tables: _Tables, balls: np.ndarray) -> _Partial:
+    """Chunk partial of a 0/1 ring from its ball indices, via per-trial codes.
+    Its histogram is the code counts; violations are counted after the merge."""
+    n_tr = balls.shape[1]
+    bits = balls >= tables.zeros
+    code = np.zeros(n_tr, dtype=np.intp)
+    for k, b in enumerate(bits):
+        code |= b.astype(np.intp) << k
+    counts = np.bincount(code, minlength=len(tables.code_work))
+    work = tables.code_work[code]
+    mean = float(work.mean())
+    m2 = float(np.sum((work - mean) ** 2))
+    ones = np.count_nonzero(bits, axis=1)
+    mean_heats = np.asarray(tables.eps) * (np.roll(ones, 1) - ones) / n_tr
+    return _Partial(n_tr, mean, m2, mean_heats, counts, 0)
+
+
+def _trial_stats(tables: _Tables, balls: np.ndarray) -> _Partial:
+    """Chunk partial of any ring from its ball indices, trial by trial."""
+    w = np.empty(balls.shape[::-1])
+    for k, r in enumerate(balls):
+        w[:, k] = tables.weights[k][np.searchsorted(tables.cums[k], r, side="right")]
+    heat_sums = np.empty(len(balls))
+    work, bad = _work_audit(tables, lambda k: w[:, k], heat_sums)
+    violations = int(np.count_nonzero(bad))
 
     mean = float(work.mean())
     m2 = float(np.sum((work - mean) ** 2))
-    mean_heats = heats.mean(axis=0)
+    mean_heats = heat_sums / len(work)
 
     hist: dict[float, int] | np.ndarray
-    if tables.two_level:
+    s_lo, s_hi = tables.support
+    width = (s_hi - s_lo) / _HIST_BINS
+    if not tables.two_level and width > 0.0:
+        idx = np.clip(((work - s_lo) / width).astype(np.int64), 0, _HIST_BINS - 1)
+        hist = np.bincount(idx, minlength=_HIST_BINS)
+    else:  # exact keys: 0/1 weights, or a degenerate support
         vals, counts = np.unique(work, return_counts=True)
         hist = {float(v): int(c) for v, c in zip(vals, counts)}
-    else:
-        s_lo, s_hi = tables.support
-        width = (s_hi - s_lo) / _HIST_BINS
-        if width > 0.0:
-            idx = np.clip(((work - s_lo) / width).astype(np.int64), 0, _HIST_BINS - 1)
-            hist = np.bincount(idx, minlength=_HIST_BINS)
-        else:  # degenerate support: a single exact key
-            vals, counts = np.unique(work, return_counts=True)
-            hist = {float(v): int(c) for v, c in zip(vals, counts)}
-    return _Partial(hi - lo, mean, m2, mean_heats, hist, violations)
+    return _Partial(len(work), mean, m2, mean_heats, hist, violations)
+
+
+def _chunk_stats(tables: _Tables, key: int, lo: int, hi: int) -> _Partial:
+    stats = _trial_stats if tables.code_work is None else _code_stats
+    return stats(tables, _ball_indices(tables, key, lo, hi))
 
 
 def _merge(a: _Partial, b: _Partial) -> _Partial:
@@ -224,28 +280,26 @@ def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> 
     key = _checked_seed(seed)
     tables = _Tables(ring)
     ranges = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
-    if workers == 1 or len(ranges) == 1:
-        partials = [_chunk_stats(tables, key, lo, hi) for lo, hi in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda r: _chunk_stats(tables, key, r[0], r[1]), ranges))
-    acc = partials[0]
-    for part in partials[1:]:
-        acc = _merge(acc, part)
+    # partials fold into the accumulator in chunk order as they arrive
+    acc = None
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        mapper = map if workers == 1 or len(ranges) == 1 else pool.map
+        for part in mapper(lambda r: _chunk_stats(tables, key, *r), ranges):
+            acc = part if acc is None else _merge(acc, part)
 
     var = acc.m2 / (acc.n - 1) if acc.n > 1 else 0.0
     if var < 0.0:
         var = 0.0
-    if isinstance(acc.hist, dict):
+    bin_width = None
+    violations = acc.violations
+    if tables.code_work is not None:
+        histogram, violations = _code_summary(tables, acc.hist)
+    elif isinstance(acc.hist, dict):
         histogram = dict(sorted(acc.hist.items()))
-        bin_width = None
     else:
         s_lo, s_hi = tables.support
-        width = (s_hi - s_lo) / _HIST_BINS
-        histogram = {
-            float(s_lo + j * width): int(c) for j, c in enumerate(acc.hist) if c > 0
-        }
-        bin_width = width
+        bin_width = (s_hi - s_lo) / _HIST_BINS
+        histogram = {float(s_lo + j * bin_width): int(c) for j, c in enumerate(acc.hist) if c > 0}
     mean_heats = acc.mean_heats.copy()
     mean_heats.flags.writeable = False
     return EnsembleStats(
@@ -257,7 +311,7 @@ def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> 
         histogram=histogram,
         seed=seed,
         bin_width=bin_width,
-        conservation_violations=acc.violations,
+        conservation_violations=violations,
     )
 
 
@@ -286,13 +340,10 @@ def exact_work_distribution(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
     eps = spec.altitudes
     f = spec.bernoulli_f
     d = eps - np.roll(eps, -1)
-    bits = (np.arange(1 << n, dtype=np.uint32)[:, None] >> np.arange(n, dtype=np.uint32)) & 1
-    work = np.zeros(1 << n)
-    prob = np.ones(1 << n)
-    for k in range(n):
-        x = bits[:, k].astype(float)
-        work += d[k] * x
-        prob *= np.where(bits[:, k] == 1, f[k], 1.0 - f[k])
+    work = _code_work(d)
+    prob = np.ones(1)
+    for fk in f:
+        prob = np.concatenate([prob * (1.0 - fk), prob * fk])
     values, inverse = np.unique(work, return_inverse=True)
     probs = np.bincount(inverse, weights=prob)
     return values, probs
@@ -337,11 +388,14 @@ def compare_to_analytic(
             exact_match = stats.var_work == 0.0 and stats.mean_work == ws.mean
         if len(spec.altitudes) <= 20 and stats.bin_width is None:
             values, probs = exact_work_distribution(spec)
-            table = {float(v): p for v, p in zip(values, probs)}
-            tv = 0.0
-            for v, c in stats.histogram.items():
-                tv += abs(c / n - table.pop(v, 0.0))
-            tv = 0.5 * (tv + sum(table.values()))
+            keys = np.fromiter(stats.histogram, dtype=float, count=len(stats.histogram))
+            freq = np.fromiter(stats.histogram.values(), dtype=float, count=len(keys)) / n
+            pos = np.minimum(np.searchsorted(values, keys), len(values) - 1)
+            hit = values[pos] == keys
+            unseen = np.ones(len(values), dtype=bool)
+            unseen[pos[hit]] = False
+            expected = np.where(hit, probs[pos], 0.0)
+            tv = 0.5 * float(np.abs(freq - expected).sum() + probs[unseen].sum())
 
     z_mean: float | None = None
     if stats.stderr_work > 0.0:

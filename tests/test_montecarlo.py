@@ -1,5 +1,8 @@
 """Ensemble simulation: determinism, moments, exact enumeration."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -202,3 +205,119 @@ def test_ensemble_histogram_chi_square():
     observed = np.array([stats.histogram.get(float(v), 0) for v in values])
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     assert chi2 < sps.chi2.ppf(0.999, df=len(values) - 1)
+
+
+def _equilibrium_like_ring(n, seed, total=1000):
+    rng = np.random.default_rng(seed)
+    low = np.sort(rng.uniform(1.0, 2.0, n // 2))
+    eps = np.r_[low, np.sort(rng.uniform(2.0, 4.0, n // 2))[::-1]]
+    return urn.two_level_ring(eps, rng.integers(50, 400, n), total)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        urn.otto_ring(1.0, 2.0, 2, 3, 10),
+        # equal weights: heats exactly 0, work pure rounding residue (audit edge)
+        urn.two_level_ring([0.1, 0.2, 0.7, 0.3], [9, 9, 9, 9], 10),
+        # an all-0 and an all-1 reservoir
+        urn.two_level_ring([0.5, 1.0, 2.5, 1.5], [0, 3, 10, 4], 10),
+        _equilibrium_like_ring(16, 1),
+        _equilibrium_like_ring(20, 2),
+    ],
+    ids=["2m=2", "2m=4-equal", "2m=4-pinned", "2m=16", "2m=20"],
+)
+def test_code_path_matches_trial_path(ring):
+    tables = montecarlo._Tables(ring)
+    assert tables.code_work is not None
+    eps = np.asarray(tables.eps)
+    for lo, hi in [(0, 16384), (3 * 16384 + 5, 3 * 16384 + 2000)]:
+        balls = montecarlo._ball_indices(tables, 11, lo, hi)
+        fast = montecarlo._code_stats(tables, balls)
+        slow = montecarlo._trial_stats(tables, balls)
+        assert (fast.n, fast.mean, fast.m2) == (slow.n, slow.mean, slow.m2)
+        histogram, violations = montecarlo._code_summary(tables, fast.hist)
+        assert list(histogram.items()) == list(slow.hist.items())
+        assert violations == slow.violations
+        # every key is the tabulated work of the codes counted under it
+        codes = np.flatnonzero(fast.hist)
+        assert sorted(set(tables.code_work[codes].tolist())) == list(histogram)
+        # exactly rounded mean of the per-trial heats both paths see
+        w = (balls >= tables.zeros).astype(float)
+        q = eps[:, None] * (np.roll(w, 1, axis=0) - w)
+        exact = np.array([math.fsum(row) / (hi - lo) for row in q])
+        np.testing.assert_allclose(fast.mean_heats, exact, rtol=1e-15, atol=0.0)
+        # the trial path sums heats in sequence: off by its own rounding only
+        assert np.all(np.abs(slow.mean_heats - exact) <= (hi - lo) * 2.0**-53 * eps)
+
+
+def test_code_audit_counts_the_trials_the_trial_audit_counts():
+    # a shifted altitude makes heats and work disagree on some draws only
+    ring = urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9)
+    tables = montecarlo._Tables(ring)
+    tables.eps[2] += 0.5
+    balls = montecarlo._ball_indices(tables, 3, 0, 5000)
+    slow = montecarlo._trial_stats(tables, balls)
+    _, violations = montecarlo._code_summary(tables, montecarlo._code_stats(tables, balls).hist)
+    assert 0 < violations == slow.violations < 5000
+
+
+def test_workers_bit_identical_on_16_ring():
+    ring = _equilibrium_like_ring(16, 3)
+    base = montecarlo.run_ensemble(ring, 5 * 16384 + 123, seed=8, workers=1)
+    for workers in (2, 3):
+        other = montecarlo.run_ensemble(ring, 5 * 16384 + 123, seed=8, workers=workers)
+        assert (other.mean_work, other.var_work) == (base.mean_work, base.var_work)
+        assert list(other.histogram.items()) == list(base.histogram.items())
+        assert np.array_equal(other.mean_heats, base.mean_heats)
+        assert other.conservation_violations == base.conservation_violations
+
+
+def test_rejected_words_are_replaced_from_spares_in_ring_order():
+    # N = 2^61 + 1 rejects about one word in eight
+    total = 2**61 + 1
+    ring = urn.otto_ring(1.0, 2.0, 2**59, 2**60, total)
+    tables = montecarlo._Tables(ring)
+    lo, hi, n_res = 7, 3000, 2
+    bg = np.random.Philox(key=5, counter=lo * tables.blocks_per_trial)
+    raw = bg.random_raw((hi - lo) * tables.words_per_trial).reshape(hi - lo, -1)
+    assert np.count_nonzero(raw[:, :n_res] >= tables.threshold) > 100
+    expected = np.empty((n_res, hi - lo), dtype=np.uint64)
+    cursor = [n_res] * (hi - lo)
+    for k in range(n_res):  # reservoir by reservoir, each trial's next spare
+        for t in range(hi - lo):
+            r = raw[t, k]
+            while r >= tables.threshold:
+                r = raw[t, cursor[t]]
+                cursor[t] += 1
+            expected[k, t] = r % np.uint64(total)
+    assert np.array_equal(montecarlo._ball_indices(tables, 5, lo, hi), expected)
+
+
+def test_22_reservoir_ring_takes_trial_path():
+    ring = _equilibrium_like_ring(22, 4)
+    assert montecarlo._Tables(ring).code_work is None  # no 2^22 table
+    a = montecarlo.run_ensemble(ring, 40_000, seed=12, workers=1)
+    b = montecarlo.run_ensemble(ring, 40_000, seed=12, workers=2)
+    assert (a.mean_work, a.var_work) == (b.mean_work, b.var_work)
+    assert list(a.histogram.items()) == list(b.histogram.items())
+    assert np.array_equal(a.mean_heats, b.mean_heats)
+    assert a.conservation_violations == b.conservation_violations == 0
+    report = montecarlo.compare_to_analytic(a, montecarlo.ring_spec_of(ring))
+    assert report.tv_distance is None
+    assert report.passed
+
+
+def test_tv_distance_matches_dict_reference():
+    ring = urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9)
+    spec = montecarlo.ring_spec_of(ring)
+    stats = montecarlo.run_ensemble(ring, 30_000, seed=9)
+    # a key outside the enumerated support counts in full
+    foreign = dataclasses.replace(stats, histogram={**stats.histogram, 123.25: 100}, trials=30_100)
+    values, probs = montecarlo.exact_work_distribution(spec)
+    for st in (stats, foreign):
+        table = {float(v): p for v, p in zip(values, probs)}
+        tv = sum(abs(c / st.trials - table.pop(v, 0.0)) for v, c in st.histogram.items())
+        tv = 0.5 * (tv + sum(table.values()))
+        got = montecarlo.compare_to_analytic(st, spec).tv_distance
+        assert got == pytest.approx(tv, rel=1e-12)
