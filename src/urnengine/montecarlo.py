@@ -21,11 +21,12 @@ Work and heats use the same accumulation order as urn.exchange_step, so for
 0/1 weights the per-trial work values land on exactly the same floats the
 exact enumeration in compare_to_analytic produces.
 
-0/1 rings with 2m <= 20 (the enumeration limit) skip per-trial weights: a
-trial becomes the 2m-bit code of its draws, each code's work is tabulated once
-per run in ring order and the audit runs once per distinct drawn code, so
-moments, histogram and violations equal the trial path's.  Mean heats come
-from per-reservoir counts of weight-1 draws, eps_k (ones_{k-1} - ones_k) / n.
+Rings with prod_k K_k <= 2^20 draw tuples (K_k weight classes at reservoir k;
+2m <= 20 for 0/1 rings) skip per-trial weights: a trial becomes the mixed-radix
+code of its draw classes, each code's work is tabulated once per run in ring
+order and the audit runs once per distinct drawn code, so moments, histogram
+and violations equal the trial path's.  Mean heats come from per-reservoir
+class counts n_kc: eps_k (S_{k-1} - S_k) / n with S_k = fsum_c w_kc n_kc.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
 _CHUNK = 16384  # trials per accumulation chunk; fixed so worker count cannot affect results
 _WORD = 1 << 64
 _HIST_BINS = 256
+_CODES = 1 << 20  # most draw codes tabulated per run, and the enumeration limit
 
 # statistical-test acceptance threshold; |z| < 4 keeps the false-alarm rate of
 # the whole suite below 0.1%.  Tunable per call in compare_to_analytic.
@@ -97,7 +99,8 @@ class _Tables:
         n = len(self.eps)
         self.deltas = [self.eps[k] - self.eps[(k + 1) % n] for k in range(n)]
         self.weights = [np.asarray(r.weights, dtype=float) for r in ring.reservoirs]
-        self.cums = [r.cumulative_counts.astype(np.uint64) for r in ring.reservoirs]
+        # class c of a ball index: the number of these boundaries at or below it
+        self.bounds = [r.cumulative_counts[:-1].astype(np.uint64) for r in ring.reservoirs]
         self.total = ring.total
         rem = _WORD % self.total
         self.threshold = np.uint64(_WORD - rem) if rem else None
@@ -112,13 +115,10 @@ class _Tables:
             lo += float(contrib.min())
             hi += float(contrib.max())
         self.support = (lo, hi)
-        # 0/1 rings that exact_work_distribution can enumerate: a trial is the
-        # 2m-bit code of its draws (bit k set when reservoir k drew weight 1)
-        self.code_work = None
-        if self.two_level and n <= 20:
-            zeros = [r.counts[r.weights == 0.0].sum() for r in ring.reservoirs]
-            self.zeros = np.array(zeros, dtype=np.uint64)[:, None]  # weight-0 balls
-            self.code_work = _code_work(self.deltas)
+        # a trial's code: digit k is its class at reservoir k, stride K_0...K_{k-1}
+        sizes = [len(w) for w in self.weights]
+        self.strides = [math.prod(sizes[:k]) for k in range(n)]
+        self.code_work = _code_work(self.deltas, self.weights) if math.prod(sizes) <= _CODES else None
 
 
 @dataclass
@@ -129,6 +129,11 @@ class _Partial:
     mean_heats: np.ndarray
     hist: dict[float, int] | np.ndarray
     violations: int
+
+
+def _partial(work: np.ndarray, mean_heats: np.ndarray, hist, violations: int = 0) -> _Partial:
+    mean = float(work.mean())
+    return _Partial(len(work), mean, float(np.sum((work - mean) ** 2)), mean_heats, hist, violations)
 
 
 def _checked_seed(seed: int) -> int:
@@ -184,71 +189,74 @@ def _work_audit(tables: _Tables, column, heat_sums: np.ndarray | None = None):
     return work, np.abs(residual) > 1e-12 * scale
 
 
-def _code_work(deltas) -> np.ndarray:
-    """Work of every 0/1 draw code, summed in ring order like the trial path:
-    codes with bit k set are those below 2^k plus 2^k, with d_k added."""
+def _code_work(deltas, weights) -> np.ndarray:
+    """Work of every draw code in ring order, like the trial path: codes with
+    class c at reservoir k are those below its stride plus c strides, with
+    d_k w_c added (nothing for w = 0)."""
     work = np.zeros(1)
-    for d in deltas:
-        work = np.concatenate([work, work + d])
+    for d, w in zip(deltas, weights):
+        work = np.concatenate([work + d * wc if wc else work for wc in w])
     return work
 
 
-def _code_summary(tables: _Tables, counts: np.ndarray) -> tuple[dict[float, int], int]:
-    """Work histogram (sorted ring-order keys) and audit violations of a
-    histogram of codes, each drawn code evaluated once."""
+def _histogram(tables: _Tables, work: np.ndarray, counts: np.ndarray | None = None):
+    """Histogram of work values drawn ``counts`` times each (once if None):
+    256 fixed-width bin counts for general weights, else exact sorted keys
+    (0/1 weights, or a degenerate support)."""
+    s_lo, s_hi = tables.support
+    width = (s_hi - s_lo) / _HIST_BINS
+    if not tables.two_level and width > 0.0:
+        idx = np.clip(((work - s_lo) / width).astype(np.int64), 0, _HIST_BINS - 1)
+        return np.bincount(idx, weights=counts, minlength=_HIST_BINS)
+    vals, inverse = np.unique(work, return_inverse=True)
+    keyed = np.bincount(inverse, weights=counts)
+    return {float(v): int(c) for v, c in zip(vals, keyed)}
+
+
+def _code_summary(tables: _Tables, counts: np.ndarray):
+    """Histogram and audit violations of a histogram of codes, each drawn
+    code evaluated once and weighted by its count."""
     codes = np.flatnonzero(counts)
     drawn = counts[codes]
-    work, bad = _work_audit(tables, lambda k: (codes >> k & 1) * 1.0)
-    vals, inverse = np.unique(work, return_inverse=True)
-    keyed = np.bincount(inverse, weights=drawn)
-    return {float(v): int(c) for v, c in zip(vals, keyed)}, int(drawn[bad].sum())
+    cols = [w[codes // s % len(w)] for w, s in zip(tables.weights, tables.strides)]
+    work, bad = _work_audit(tables, lambda k: cols[k])
+    return _histogram(tables, work, drawn), int(drawn[bad].sum())
 
 
 def _code_stats(tables: _Tables, balls: np.ndarray) -> _Partial:
-    """Chunk partial of a 0/1 ring from its ball indices, via per-trial codes.
-    Its histogram is the code counts; violations are counted after the merge."""
+    """Chunk partial from ball indices via one draw code per trial.  Its
+    histogram is the code counts; violations are counted after the merge."""
     n_tr = balls.shape[1]
-    bits = balls >= tables.zeros
     code = np.zeros(n_tr, dtype=np.intp)
-    for k, b in enumerate(bits):
-        code |= b.astype(np.intp) << k
+    sums = []  # S_k = sum_c w_kc n_kc, the products summed by math.fsum
+    for k, r in enumerate(balls):
+        bounds, stride = tables.bounds[k], tables.strides[k]
+        if len(bounds) < 4:  # one comparison per boundary
+            at_least = [n_tr]
+            for b in bounds:
+                above = r >= b
+                code += above * stride
+                at_least.append(np.count_nonzero(above))
+            drawn = [a - b for a, b in zip(at_least, at_least[1:] + [0])]
+        else:
+            cls = np.searchsorted(bounds, r, side="right")
+            code += cls * stride
+            drawn = np.bincount(cls, minlength=len(bounds) + 1).tolist()
+        sums.append(math.fsum(w * c for w, c in zip(tables.weights[k].tolist(), drawn)))
     counts = np.bincount(code, minlength=len(tables.code_work))
-    work = tables.code_work[code]
-    mean = float(work.mean())
-    m2 = float(np.sum((work - mean) ** 2))
-    ones = np.count_nonzero(bits, axis=1)
-    mean_heats = np.asarray(tables.eps) * (np.roll(ones, 1) - ones) / n_tr
-    return _Partial(n_tr, mean, m2, mean_heats, counts, 0)
+    sums = np.array(sums)
+    mean_heats = np.asarray(tables.eps) * (np.roll(sums, 1) - sums) / n_tr
+    return _partial(tables.code_work[code], mean_heats, counts)
 
 
 def _trial_stats(tables: _Tables, balls: np.ndarray) -> _Partial:
     """Chunk partial of any ring from its ball indices, trial by trial."""
     w = np.empty(balls.shape[::-1])
     for k, r in enumerate(balls):
-        w[:, k] = tables.weights[k][np.searchsorted(tables.cums[k], r, side="right")]
+        w[:, k] = tables.weights[k][np.searchsorted(tables.bounds[k], r, side="right")]
     heat_sums = np.empty(len(balls))
     work, bad = _work_audit(tables, lambda k: w[:, k], heat_sums)
-    violations = int(np.count_nonzero(bad))
-
-    mean = float(work.mean())
-    m2 = float(np.sum((work - mean) ** 2))
-    mean_heats = heat_sums / len(work)
-
-    hist: dict[float, int] | np.ndarray
-    s_lo, s_hi = tables.support
-    width = (s_hi - s_lo) / _HIST_BINS
-    if not tables.two_level and width > 0.0:
-        idx = np.clip(((work - s_lo) / width).astype(np.int64), 0, _HIST_BINS - 1)
-        hist = np.bincount(idx, minlength=_HIST_BINS)
-    else:  # exact keys: 0/1 weights, or a degenerate support
-        vals, counts = np.unique(work, return_counts=True)
-        hist = {float(v): int(c) for v, c in zip(vals, counts)}
-    return _Partial(len(work), mean, m2, mean_heats, hist, violations)
-
-
-def _chunk_stats(tables: _Tables, key: int, lo: int, hi: int) -> _Partial:
-    stats = _trial_stats if tables.code_work is None else _code_stats
-    return stats(tables, _ball_indices(tables, key, lo, hi))
+    return _partial(work, heat_sums / len(work), _histogram(tables, work), int(np.count_nonzero(bad)))
 
 
 def _merge(a: _Partial, b: _Partial) -> _Partial:
@@ -280,26 +288,26 @@ def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> 
     key = _checked_seed(seed)
     tables = _Tables(ring)
     ranges = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
+    stats = _trial_stats if tables.code_work is None else _code_stats
     # partials fold into the accumulator in chunk order as they arrive
     acc = None
     with ThreadPoolExecutor(max_workers=workers) as pool:
         mapper = map if workers == 1 or len(ranges) == 1 else pool.map
-        for part in mapper(lambda r: _chunk_stats(tables, key, *r), ranges):
+        for part in mapper(lambda r: stats(tables, _ball_indices(tables, key, *r)), ranges):
             acc = part if acc is None else _merge(acc, part)
 
     var = acc.m2 / (acc.n - 1) if acc.n > 1 else 0.0
     if var < 0.0:
         var = 0.0
-    bin_width = None
-    violations = acc.violations
+    hist, violations, bin_width = acc.hist, acc.violations, None
     if tables.code_work is not None:
-        histogram, violations = _code_summary(tables, acc.hist)
-    elif isinstance(acc.hist, dict):
-        histogram = dict(sorted(acc.hist.items()))
-    else:
+        hist, violations = _code_summary(tables, hist)  # exact keys come sorted
+    elif isinstance(hist, dict):
+        hist = dict(sorted(hist.items()))
+    if not isinstance(hist, dict):
         s_lo, s_hi = tables.support
         bin_width = (s_hi - s_lo) / _HIST_BINS
-        histogram = {float(s_lo + j * bin_width): int(c) for j, c in enumerate(acc.hist) if c > 0}
+        hist = {float(s_lo + j * bin_width): int(c) for j, c in enumerate(hist) if c > 0}
     mean_heats = acc.mean_heats.copy()
     mean_heats.flags.writeable = False
     return EnsembleStats(
@@ -308,7 +316,7 @@ def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> 
         var_work=var,
         stderr_work=math.sqrt(var / acc.n),
         mean_heats=mean_heats,
-        histogram=histogram,
+        histogram=hist,
         seed=seed,
         bin_width=bin_width,
         conservation_violations=violations,
@@ -335,12 +343,12 @@ def exact_work_distribution(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
     if spec.bernoulli_f is None:
         raise ValueError("bernoulli fractions required for the 0/1 variance model")
     n = len(spec.altitudes)
-    if n > 20:
+    if 2**n > _CODES:
         raise ValueError("enumeration limited to 2m <= 20 reservoirs")
     eps = spec.altitudes
     f = spec.bernoulli_f
     d = eps - np.roll(eps, -1)
-    work = _code_work(d)
+    work = _code_work(d, [(0.0, 1.0)] * n)
     prob = np.ones(1)
     for fk in f:
         prob = np.concatenate([prob * (1.0 - fk), prob * fk])

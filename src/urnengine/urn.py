@@ -121,6 +121,8 @@ def make_reservoir(altitude: float, population: Mapping[float, int], group: Grou
     items = [(float(w), int(c)) for w, c in items if int(c) > 0]
     if not items:
         raise ValueError("empty reservoir")
+    if sum(c for _, c in items) >= 2**63:  # counts and N are int64
+        raise ValueError("invalid population")
     weights = np.array([w for w, _ in items], dtype=float)
     counts = np.array([c for _, c in items], dtype=np.int64)
     weights.flags.writeable = False

@@ -196,6 +196,21 @@ def test_simulate_rejects_negative_seed(capsys):
     assert "seed must be in" in json.loads(err)["error"]
 
 
+def test_simulate_largest_int64_population(capsys):
+    argv = ["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", str(2**61), "--n-h", str(2**62),
+            "--N", str(2**63 - 1), "--trials", "1000", "--seed", "0"]
+    assert run_json(argv, capsys)["outputs"]["trials"] == 1000
+
+
+@pytest.mark.parametrize("total", [2**63, 2**64 + 5])
+def test_simulate_rejects_population_beyond_int64(total, capsys):
+    code, out, err = run_cli(["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "2", "--n-h", "3",
+                              "--N", str(total), "--trials", "10", "--seed", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "invalid population"
+
+
 def test_simulate_requires_a_complete_ring(capsys):
     code, _, err = run_cli(["simulate", "--eps", "1,2", "--N", "100",
                             "--trials", "10", "--seed", "0"], capsys)

@@ -207,11 +207,40 @@ def test_ensemble_histogram_chi_square():
     assert chi2 < sps.chi2.ppf(0.999, df=len(values) - 1)
 
 
+def _altitudes(rng, n):
+    low = np.sort(rng.uniform(1.0, 2.0, n // 2))
+    return np.r_[low, np.sort(rng.uniform(2.0, 4.0, n // 2))[::-1]]
+
+
 def _equilibrium_like_ring(n, seed, total=1000):
     rng = np.random.default_rng(seed)
-    low = np.sort(rng.uniform(1.0, 2.0, n // 2))
-    eps = np.r_[low, np.sort(rng.uniform(2.0, 4.0, n // 2))[::-1]]
+    eps = _altitudes(rng, n)
     return urn.two_level_ring(eps, rng.integers(50, 400, n), total)
+
+
+def _ring(eps, populations):
+    n = len(eps)
+    groups = [urn.Group.LOW if k < n // 2 else urn.Group.HIGH for k in range(n)]
+    return urn.EngineRing(tuple(map(urn.make_reservoir, eps, populations, groups)))
+
+
+def _mixed_ring(n, seed, weights=(0.0, 1.0, 2.5), total=1000):
+    """Ring of balls of the given weights in random proportions."""
+    rng = np.random.default_rng(seed)
+    eps = _altitudes(rng, n)
+    pops = []
+    for _ in range(n):
+        cuts = np.sort(rng.integers(1, total, len(weights) - 1))
+        pops.append(dict(zip(weights, np.diff(np.r_[0, cuts, total]).tolist())))
+    return _ring(eps.tolist(), pops)
+
+
+def _drawn_weights(ring, balls):
+    """Weight of each drawn ball, (2m, trials), as urn.draw_ball maps an index."""
+    return np.array([
+        r.weights[np.searchsorted(r.cumulative_counts, b.astype(np.int64), side="right")]
+        for r, b in zip(ring.reservoirs, balls)
+    ])
 
 
 @pytest.mark.parametrize(
@@ -243,7 +272,7 @@ def test_code_path_matches_trial_path(ring):
         codes = np.flatnonzero(fast.hist)
         assert sorted(set(tables.code_work[codes].tolist())) == list(histogram)
         # exactly rounded mean of the per-trial heats both paths see
-        w = (balls >= tables.zeros).astype(float)
+        w = _drawn_weights(ring, balls)
         q = eps[:, None] * (np.roll(w, 1, axis=0) - w)
         exact = np.array([math.fsum(row) / (hi - lo) for row in q])
         np.testing.assert_allclose(fast.mean_heats, exact, rtol=1e-15, atol=0.0)
@@ -251,15 +280,89 @@ def test_code_path_matches_trial_path(ring):
         assert np.all(np.abs(slow.mean_heats - exact) <= (hi - lo) * 2.0**-53 * eps)
 
 
+MIXED_RINGS = {
+    "0/1/2.5 2m=4": _mixed_ring(4, 1),
+    "0/1/2.5 2m=8": _mixed_ring(8, 2),
+    # most draws weigh 2.5: all-equal trials have zero heats (audit edge)
+    "fault": _ring([0.1, 0.2, 0.7, 0.3], [{0.0: 1, 1.0: 1, 2.5: 8}] * 4),
+    "single-class": _ring(
+        [1.0, 2.0, 3.0, 1.5], [{2.5: 7}, {0.0: 2, 1.0: 3, 2.5: 2}, {0.0: 7}, {1.0: 1, 2.5: 6}]
+    ),
+    # one work value: a degenerate support keeps exact keys
+    "degenerate": _ring([1.0, 2.0], [{2.5: 3}, {2.5: 3}]),
+    "non-dyadic 2m=6": _mixed_ring(6, 3, weights=(0.3, 1.7, 4.1)),
+    "K=600 2m=2": _ring([1.0, 2.0], [{0.37 * i: 1 + i % 5 for i in range(600)}, {0.0: 800, 1.0: 1000}]),
+}
+
+
+@pytest.mark.parametrize("ring", MIXED_RINGS.values(), ids=MIXED_RINGS.keys())
+def test_class_code_path_matches_trial_path(ring):
+    tables = montecarlo._Tables(ring)
+    assert tables.code_work is not None
+    eps = np.asarray(tables.eps)
+    for lo, hi in [(0, 16384), (3 * 16384 + 5, 3 * 16384 + 2000)]:
+        balls = montecarlo._ball_indices(tables, 11, lo, hi)
+        fast = montecarlo._code_stats(tables, balls)
+        slow = montecarlo._trial_stats(tables, balls)
+        assert (fast.n, fast.mean, fast.m2) == (slow.n, slow.mean, slow.m2)
+        hist, violations = montecarlo._code_summary(tables, fast.hist)
+        if isinstance(slow.hist, dict):
+            assert list(hist.items()) == list(slow.hist.items())
+        else:
+            assert np.array_equal(hist, slow.hist)
+        assert violations == slow.violations
+        # within four roundings of the exactly rounded mean of the per-trial heats
+        w = _drawn_weights(ring, balls)
+        q = eps[:, None] * (np.roll(w, 1, axis=0) - w)
+        exact = np.array([math.fsum(row) / (hi - lo) for row in q])
+        bound = 4 * 2.0**-53 * np.abs(q).sum(axis=1) / (hi - lo)
+        assert np.all(np.abs(fast.mean_heats - exact) <= bound)
+
+
+@pytest.mark.parametrize("ring", MIXED_RINGS.values(), ids=MIXED_RINGS.keys())
+def test_ensemble_class_codes_match_trial_path(ring, monkeypatch):
+    fast = montecarlo.run_ensemble(ring, 2 * 16384 + 77, seed=4)
+    monkeypatch.setattr(montecarlo, "_CODES", 0)  # no ring fits: all take _trial_stats
+    slow = montecarlo.run_ensemble(ring, 2 * 16384 + 77, seed=4)
+    assert (fast.mean_work, fast.var_work, fast.bin_width, fast.conservation_violations) == (
+        slow.mean_work, slow.var_work, slow.bin_width, slow.conservation_violations)
+    assert list(fast.histogram.items()) == list(slow.histogram.items())
+
+
+def test_workers_bit_identical_on_mixed_8_ring():
+    ring = _mixed_ring(8, 5)
+    base = montecarlo.run_ensemble(ring, 5 * 16384 + 123, seed=8, workers=1)
+    assert base.bin_width is not None
+    for workers in (2, 3):
+        other = montecarlo.run_ensemble(ring, 5 * 16384 + 123, seed=8, workers=workers)
+        assert (other.mean_work, other.var_work) == (base.mean_work, base.var_work)
+        assert list(other.histogram.items()) == list(base.histogram.items())
+        assert other.bin_width == base.bin_width
+        assert np.array_equal(other.mean_heats, base.mean_heats)
+        assert other.conservation_violations == base.conservation_violations
+
+
+def test_3_14_code_ring_takes_trial_path():
+    eps = np.linspace(1.0, 3.0, 14).tolist()
+    assert montecarlo._Tables(_ring(eps[:12], [{0.0: 3, 1.0: 5, 2.5: 2}] * 12)).code_work.size == 3**12
+    ring = _ring(eps, [{0.0: 3, 1.0: 5, 2.5: 2}] * 14)
+    assert montecarlo._Tables(ring).code_work is None  # 3^14 > 2^20 codes
+    a = montecarlo.run_ensemble(ring, 20_000, seed=12, workers=1)
+    b = montecarlo.run_ensemble(ring, 20_000, seed=12, workers=2)
+    assert (a.mean_work, a.var_work, a.bin_width) == (b.mean_work, b.var_work, b.bin_width)
+    assert list(a.histogram.items()) == list(b.histogram.items())
+    assert np.array_equal(a.mean_heats, b.mean_heats)
+
+
 def test_code_audit_counts_the_trials_the_trial_audit_counts():
     # a shifted altitude makes heats and work disagree on some draws only
-    ring = urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9)
-    tables = montecarlo._Tables(ring)
-    tables.eps[2] += 0.5
-    balls = montecarlo._ball_indices(tables, 3, 0, 5000)
-    slow = montecarlo._trial_stats(tables, balls)
-    _, violations = montecarlo._code_summary(tables, montecarlo._code_stats(tables, balls).hist)
-    assert 0 < violations == slow.violations < 5000
+    for ring in (urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9), MIXED_RINGS["0/1/2.5 2m=4"]):
+        tables = montecarlo._Tables(ring)
+        tables.eps[2] += 0.5
+        balls = montecarlo._ball_indices(tables, 3, 0, 5000)
+        slow = montecarlo._trial_stats(tables, balls)
+        _, violations = montecarlo._code_summary(tables, montecarlo._code_stats(tables, balls).hist)
+        assert 0 < violations == slow.violations < 5000
 
 
 def test_workers_bit_identical_on_16_ring():
@@ -321,3 +424,15 @@ def test_tv_distance_matches_dict_reference():
         tv = 0.5 * (tv + sum(table.values()))
         got = montecarlo.compare_to_analytic(st, spec).tv_distance
         assert got == pytest.approx(tv, rel=1e-12)
+
+
+def test_largest_int64_population_runs():
+    ring = urn.otto_ring(1.0, 2.0, 2**61, 2**62, 2**63 - 1)
+    stats = montecarlo.run_ensemble(ring, 1000, seed=3)
+    assert stats.trials == 1000 and stats.conservation_violations == 0
+
+
+@pytest.mark.parametrize("total", [2**63, 2**64 + 5])
+def test_population_beyond_int64_is_a_domain_error(total):
+    with pytest.raises(ValueError, match="invalid population"):
+        urn.otto_ring(1.0, 2.0, 2, 3, total)

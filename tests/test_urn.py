@@ -36,6 +36,13 @@ def test_make_reservoir_validation():
         urn.make_reservoir(1.0, {float("nan"): 2}, urn.Group.LOW)
 
 
+def test_population_total_must_fit_int64():
+    assert urn.make_reservoir(1.0, {0.0: 2**62, 1.0: 2**62 - 1}, urn.Group.LOW).total == 2**63 - 1
+    for population in ({0.0: 2**62, 1.0: 2**62}, {1.0: 2**63}, {1.0: 2**64 + 5}):
+        with pytest.raises(ValueError, match="invalid population"):
+            urn.make_reservoir(1.0, population, urn.Group.LOW)
+
+
 def test_reservoir_arrays_frozen():
     r = urn.make_reservoir(1.0, {0.0: 2, 1.0: 2}, urn.Group.LOW)
     with pytest.raises(ValueError):
