@@ -208,8 +208,11 @@ def _histogram(tables: _Tables, work: np.ndarray, counts: np.ndarray | None = No
     if not tables.two_level and width > 0.0:
         idx = np.clip(((work - s_lo) / width).astype(np.int64), 0, _HIST_BINS - 1)
         return np.bincount(idx, weights=counts, minlength=_HIST_BINS)
-    vals, inverse = np.unique(work, return_inverse=True)
-    keyed = np.bincount(inverse, weights=counts)
+    if counts is None:
+        vals, keyed = np.unique(work, return_counts=True)
+    else:
+        vals, inverse = np.unique(work, return_inverse=True)
+        keyed = np.bincount(inverse, weights=counts)
     return {float(v): int(c) for v, c in zip(vals, keyed)}
 
 
@@ -230,18 +233,12 @@ def _code_stats(tables: _Tables, balls: np.ndarray) -> _Partial:
     code = np.zeros(n_tr, dtype=np.intp)
     sums = []  # S_k = sum_c w_kc n_kc, the products summed by math.fsum
     for k, r in enumerate(balls):
-        bounds, stride = tables.bounds[k], tables.strides[k]
-        if len(bounds) < 4:  # one comparison per boundary
-            at_least = [n_tr]
-            for b in bounds:
-                above = r >= b
-                code += above * stride
-                at_least.append(np.count_nonzero(above))
-            drawn = [a - b for a, b in zip(at_least, at_least[1:] + [0])]
-        else:
-            cls = np.searchsorted(bounds, r, side="right")
-            code += cls * stride
-            drawn = np.bincount(cls, minlength=len(bounds) + 1).tolist()
+        at_least = [n_tr]  # draws of class >= c: one comparison per boundary
+        for b in tables.bounds[k]:
+            above = r >= b
+            code += above * tables.strides[k]
+            at_least.append(np.count_nonzero(above))
+        drawn = [a - b for a, b in zip(at_least, at_least[1:] + [0])]
         sums.append(math.fsum(w * c for w, c in zip(tables.weights[k].tolist(), drawn)))
     counts = np.bincount(code, minlength=len(tables.code_work))
     sums = np.array(sums)
@@ -394,7 +391,7 @@ def compare_to_analytic(
             z_var = (stats.var_work - ws.variance) / se_var
         elif ws.variance == 0.0:
             exact_match = stats.var_work == 0.0 and stats.mean_work == ws.mean
-        if len(spec.altitudes) <= 20 and stats.bin_width is None:
+        if 2**len(spec.altitudes) <= _CODES and stats.bin_width is None:
             values, probs = exact_work_distribution(spec)
             keys = np.fromiter(stats.histogram, dtype=float, count=len(stats.histogram))
             freq = np.fromiter(stats.histogram.values(), dtype=float, count=len(keys)) / n

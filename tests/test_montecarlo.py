@@ -411,6 +411,16 @@ def test_22_reservoir_ring_takes_trial_path():
     assert report.passed
 
 
+def test_tv_enumeration_follows_the_code_limit(monkeypatch):
+    ring = urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9)
+    spec = montecarlo.ring_spec_of(ring)
+    stats = montecarlo.run_ensemble(ring, 3000, seed=9)
+    assert montecarlo.compare_to_analytic(stats, spec).tv_distance is not None
+    monkeypatch.setattr(montecarlo, "_CODES", 8)  # fewer than the ring's 2^4 outcomes
+    report = montecarlo.compare_to_analytic(stats, spec)
+    assert report.tv_distance is None and report.passed
+
+
 def test_tv_distance_matches_dict_reference():
     ring = urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9)
     spec = montecarlo.ring_spec_of(ring)
