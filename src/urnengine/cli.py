@@ -163,10 +163,8 @@ def _handle_analytic_otto(args: argparse.Namespace) -> CommandResult:
         thermo.beta_from_occupancy(args.n_h, args.N, args.eps_h).beta
         if args.n_h not in degenerate else None
     )
-    if outputs["beta_l"] not in (None, 0.0):
-        outputs["eta_carnot"] = thermo.carnot_efficiency(outputs["beta_l"], outputs["beta_h"])
-    else:
-        outputs["eta_carnot"] = None
+    bl, bh = outputs["beta_l"], outputs["beta_h"]
+    outputs["eta_carnot"] = None if bl in (None, 0.0) or bh is None else thermo.carnot_efficiency(bl, bh)
     return _scalar_result(inputs, outputs)
 
 

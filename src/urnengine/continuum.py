@@ -45,6 +45,14 @@ __all__ = [
 ]
 
 
+def _checked_betas(beta_l: float, beta_h: float) -> tuple[float, float]:
+    """(beta_l, beta_h) as floats; a zero or non-finite beta is a domain error."""
+    bl, bh = float(beta_l), float(beta_h)
+    if not (math.isfinite(bl) and math.isfinite(bh)) or bl == 0.0 or bh == 0.0:
+        raise ValueError("beta must be finite and nonzero")
+    return bl, bh
+
+
 @dataclass(frozen=True)
 class CarnotEndpoints:
     """Branch endpoints of a continuum cycle, canonically in reduced units.
@@ -63,9 +71,7 @@ class CarnotEndpoints:
     hot_last: float
 
     def __post_init__(self) -> None:
-        for b in (self.beta_l, self.beta_h):
-            if not math.isfinite(b) or b == 0.0:
-                raise ValueError("beta must be finite and nonzero")
+        _checked_betas(self.beta_l, self.beta_h)
         for name, value, beta in (
             ("cold_first", self.cold_first, self.beta_l),
             ("cold_last", self.cold_last, self.beta_l),
@@ -86,10 +92,7 @@ class CarnotEndpoints:
         eps_hot_last: float,
     ) -> "CarnotEndpoints":
         """Build from raw altitudes; requires nonzero betas."""
-        bl = float(beta_l)
-        bh = float(beta_h)
-        if bl == 0.0 or bh == 0.0:
-            raise ValueError("beta must be finite and nonzero")
+        bl, bh = _checked_betas(beta_l, beta_h)
         return cls(
             beta_l=bl,
             beta_h=bh,
@@ -148,10 +151,7 @@ def reversible_work(
     units, so W = (1/beta_h - 1/beta_l)(s(cold_first) - s(cold_last)) and the
     efficiency is the Carnot value; beta_l*Q_l + beta_h*Q_h = 0.
     """
-    bl = float(beta_l)
-    bh = float(beta_h)
-    if bl == 0.0 or bh == 0.0 or not (math.isfinite(bl) and math.isfinite(bh)):
-        raise ValueError("beta must be finite and nonzero")
+    bl, bh = _checked_betas(beta_l, beta_h)
     w = (1.0 / bh - 1.0 / bl) * (
         _entropy(cold_first, cold_first) - _entropy(cold_last, cold_last)
     )
@@ -174,10 +174,7 @@ def reversible_endpoints(
 
 def max_reversible_work(beta_l: float, beta_h: float) -> float:
     """Supremum (1/beta_h - 1/beta_l) * ln 2 of the reversible work."""
-    bl = float(beta_l)
-    bh = float(beta_h)
-    if bl == 0.0 or bh == 0.0 or not (math.isfinite(bl) and math.isfinite(bh)):
-        raise ValueError("beta must be finite and nonzero")
+    bl, bh = _checked_betas(beta_l, beta_h)
     return (1.0 / bh - 1.0 / bl) * math.log(2.0)
 
 

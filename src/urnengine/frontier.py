@@ -9,12 +9,12 @@ The optimizer is multistart derivative-free coordinate descent on a quadratic
 penalty objective.  Gradients are unreliable here: the engine/pump sign
 regimes and negative-beta cases fold the feasible set, while a single
 objective evaluation is a handful of exponentials, so robustness wins over
-speed.  Schedule (all overridable): initial step = init extent / 8, halve on
-a sweep without improvement, stop a descent at step < 1e-6; penalty weight
-starts at 1e2 and is multiplied by 10 until the work residual fits tol_W.
-Starts are seeded deterministically and the winner among equal objectives
-(within 1e-12) is statically the lowest start index, so results are
-reproducible for a given seed.
+speed.  Fixed schedule: initial step = init extent / 8, halve on a sweep
+without improvement, stop a descent at step < 1e-6 or the per-start budget;
+penalty weight starts at 1e2 and is multiplied by 10 (cap 1e12) until the
+work residual fits tol_W.  Starts are seeded deterministically from valid
+rejection-sampled points, and among objectives within 1e-12 of the best the
+lowest start index wins, so results are reproducible for a given seed.
 
 Finite m evaluates the discrete ring at equilibrium occupancies f(beta*eps);
 ``carnot_frontier`` extremizes the continuum cycle over its four reduced
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _efficiency, _equilibrium_weights, _ring_heats
-from .continuum import CarnotEndpoints, _branch_heats, continuum_heats
+from .continuum import CarnotEndpoints, _branch_heats, _checked_betas, continuum_heats
 from .montecarlo import _checked_seed
 from .thermo import occupancy
 
@@ -187,23 +187,6 @@ def _ring_point(beta_l: float, beta_h: float, m: int, pump: bool):
     return point
 
 
-def _carnot_point(beta_l: float, beta_h: float, pump: bool):
-    """Scalar fast path over endpoint magnitudes (sign pinned to betas)."""
-    bl = float(beta_l)
-    bh = float(beta_h)
-    sl = math.copysign(1.0, bl)
-    sh = math.copysign(1.0, bh)
-
-    def point(u: list[float]) -> tuple[float, float, bool]:
-        q_l, q_h = _branch_heats(bl, bh, sl * u[0], sl * u[1], sh * u[2], sh * u[3])
-        w = -(q_l + q_h)
-        if not _regime_ok(w, q_h, pump):
-            return w, math.nan, False
-        return w, w / -q_h, True
-
-    return point
-
-
 def _descend(obj, x: list[float], fx: float, step0: float, max_evals: int):
     """Coordinate descent: probe +-step per coordinate, halve step on a full
     sweep without improvement, stop below the step floor or the budget."""
@@ -269,65 +252,117 @@ def _solve_start(point, x0: list[float], sign: float, target: float, tol_w: floa
         evals += 1
 
 
-def _multistart(point, public, ndim: int, sign: float, target: float, tol_w: float,
-                budget: int, starts: int, seed: int, extent: float):
-    """Run all starts, verify with the public evaluator, pick the winner.
+def _multistart(point, public, ndim: int, extent: float, budget: int, starts: int,
+                seed: int, solve, score):
+    """Run every start and return the winner (x, W, Q_high, start_index, evals).
 
-    ``public(x)`` re-evaluates (W, Q_high) apart from the scalar fast path.
+    Each start descends by ``solve(x0, step0, budget) -> (x, ok, evals)`` from a
+    rejection-sampled valid point; ok results, re-evaluated by ``public``, rank by
+    ``score(W, Q_high)``: lower wins, None rejects, ties within _TIE go to the lowest start.
     """
+    if budget < 1 or starts < 1:
+        raise ValueError("budget and starts must be >= 1")
     children = np.random.SeedSequence(_checked_seed(seed)).spawn(starts)
-    pump = target < 0.0
-    step0 = extent / 8.0
     total_evals = 0
-    found = []  # (eta_public, start_index, x, w_public)
+    found = []  # (score, start_index, x, w_public, q_high_public), in start order
     for si in range(starts):
         rng = np.random.default_rng(children[si])
-        x0 = None
         for _ in range(128):  # rejection-sample a valid initial point
-            cand = list(extent * (1.0 - rng.random(ndim)))
+            x0 = (extent * (1.0 - rng.random(ndim))).tolist()
             total_evals += 1
-            if point(cand)[2]:
-                x0 = cand
+            if point(x0)[2]:
                 break
-        if x0 is None:
+        else:
             continue
-        x, fast_ok, used = _solve_start(point, x0, sign, target, tol_w, budget, step0)
+        x, ok, used = solve(x0, extent / 8.0, budget)
         total_evals += used
-        if not fast_ok:
+        if not ok:
             continue
-        w_pub, q_pub = public(x)
-        if _regime_ok(w_pub, q_pub, pump) and abs(w_pub - target) <= tol_w:
-            found.append((w_pub / -q_pub, si, x, w_pub))
+        w, q_high = public(x)
+        s = score(w, q_high)
+        if s is not None:
+            found.append((s, si, x, w, q_high))
     if not found:
         raise ValueError("infeasible or budget too small")
-    best_eta = min(sign * e for e, _, _, _ in found)
-    winner = min(
-        (si, e, x, w) for e, si, x, w in found if sign * e <= best_eta + _TIE
-    )
-    _, eta, x, w = winner
-    return x, eta, w, winner[0], total_evals
+    best = min(f[0] for f in found)
+    _, si, x, w, q_high = next(f for f in found if f[0] <= best + _TIE)
+    return x, w, q_high, si, total_evals
 
 
-def _public_ring(beta_l: float, beta_h: float):
+def _checked_extent(init_extent: float | None, default: float) -> float:
+    """The start extent: ``default`` unless an ``init_extent`` is given."""
+    if init_extent is None:
+        return default
+    if not (math.isfinite(init_extent) and init_extent > 0.0):
+        raise ValueError("init_extent must be finite and positive")
+    return init_extent
+
+
+def _ring_problem(m: int, beta_l: float, beta_h: float, init_extent: float | None):
+    """(point, public, ndim, extent, to_config) of an m-sub-reservoir ring;
+    ``point(pump)`` builds the scalar fast path, ``public`` the batched one."""
+    if m < 1:
+        raise ValueError("ring must hold 2m >= 2 reservoirs")
+    bl, bh = _checked_betas(beta_l, beta_h)
+
     def public(eps: list[float]) -> tuple[float, float]:
         row = np.array([eps])
-        _, q_high, w = _ring_heats(row, _equilibrium_weights(beta_l, beta_h, row))
+        _, q_high, w = _ring_heats(row, _equilibrium_weights(bl, bh, row))
         return float(w[0]), float(q_high[0])
 
-    return public
+    extent = _checked_extent(init_extent, 16.0 / min(abs(bl), abs(bh)))
+    return (lambda pump: _ring_point(bl, bh, m, pump)), public, 2 * m, extent, tuple
 
 
-def _public_carnot(beta_l: float, beta_h: float):
-    bl = float(beta_l)
-    bh = float(beta_h)
-    sl = math.copysign(1.0, bl)
-    sh = math.copysign(1.0, bh)
+def _carnot_problem(beta_l: float, beta_h: float, init_extent: float | None):
+    """(point, public, ndim, extent, to_config) of the continuum cycle over its
+    endpoint magnitudes, signs pinned to the betas; ``to_config`` signs them."""
+    bl, bh = _checked_betas(beta_l, beta_h)
+    sl, sh = math.copysign(1.0, bl), math.copysign(1.0, bh)
+
+    def make_point(pump: bool):
+        def point(u: list[float]) -> tuple[float, float, bool]:
+            q_l, q_h = _branch_heats(bl, bh, sl * u[0], sl * u[1], sh * u[2], sh * u[3])
+            w = -(q_l + q_h)
+            if not _regime_ok(w, q_h, pump):
+                return w, math.nan, False
+            return w, w / -q_h, True
+
+        return point
+
+    def to_config(u: list[float]) -> tuple[float, ...]:
+        return (sl * u[0], sl * u[1], sh * u[2], sh * u[3])
 
     def public(u: list[float]) -> tuple[float, float]:
-        res = continuum_heats(CarnotEndpoints(bl, bh, sl * u[0], sl * u[1], sh * u[2], sh * u[3]))
+        res = continuum_heats(CarnotEndpoints(bl, bh, *to_config(u)))
         return res.work, res.heat_high
 
-    return public
+    return make_point, public, 4, _checked_extent(init_extent, 20.0), to_config
+
+
+def _extremize(problem, target_work: float, mode: Mode, tol_w: float, budget: int,
+               starts: int, seed: int) -> FrontierPoint:
+    """Penalty multistart on one builder's problem at fixed work."""
+    make_point, public, ndim, extent, to_config = problem
+    if not (tol_w > 0.0):
+        raise ValueError("tol_w must be positive")
+    mode = Mode(mode)
+    sign = -1.0 if mode is Mode.MAX else 1.0
+    pump = target_work < 0.0
+    point = make_point(pump)
+
+    def solve(x0: list[float], step0: float, budget: int):
+        return _solve_start(point, x0, sign, target_work, tol_w, budget, step0)
+
+    def score(w: float, q_high: float) -> float | None:
+        feasible = _regime_ok(w, q_high, pump) and abs(w - target_work) <= tol_w
+        return sign * (w / -q_high) if feasible else None
+
+    x, w, q_high, start, evals = _multistart(point, public, ndim, extent, budget, starts,
+                                             seed, solve, score)
+    return FrontierPoint(target_work=target_work, eta=w / -q_high, mode=mode,
+                         config=to_config(x), residual=abs(w - target_work),
+                         evaluations=evals, work=w, start_index=start)
 
 
 def optimize_efficiency(
@@ -347,29 +382,8 @@ def optimize_efficiency(
     Raises "infeasible or budget too small" when no start reaches the work
     constraint within tolerance.
     """
-    if m < 1:
-        raise ValueError("ring must hold 2m >= 2 reservoirs")
-    _check_optimizer_args(tol_w, budget, starts)
-    mode = Mode(mode)
-    if init_extent is None:
-        init_extent = 16.0 / min(abs(float(beta_l)), abs(float(beta_h)))
-    sign = -1.0 if mode is Mode.MAX else 1.0
-    pump = target_work < 0.0
-    point = _ring_point(beta_l, beta_h, m, pump)
-    public = _public_ring(beta_l, beta_h)
-    x, eta, w, start, evals = _multistart(
-        point, public, 2 * m, sign, target_work, tol_w, budget, starts, seed, init_extent
-    )
-    return FrontierPoint(
-        target_work=target_work,
-        eta=eta,
-        mode=mode,
-        config=tuple(x),
-        residual=abs(w - target_work),
-        evaluations=evals,
-        work=w,
-        start_index=start,
-    )
+    return _extremize(_ring_problem(m, beta_l, beta_h, init_extent), target_work,
+                      mode, tol_w, budget, starts, seed)
 
 
 def carnot_frontier(
@@ -389,30 +403,8 @@ def carnot_frontier(
     returned config is the signed endpoints (cold_first, cold_last,
     hot_first, hot_last).
     """
-    _check_optimizer_args(tol_w, budget, starts)
-    mode = Mode(mode)
-    if init_extent is None:
-        init_extent = 20.0
-    sign = -1.0 if mode is Mode.MAX else 1.0
-    pump = target_work < 0.0
-    point = _carnot_point(beta_l, beta_h, pump)
-    public = _public_carnot(beta_l, beta_h)
-    x, eta, w, start, evals = _multistart(
-        point, public, 4, sign, target_work, tol_w, budget, starts, seed, init_extent
-    )
-    sl = math.copysign(1.0, float(beta_l))
-    sh = math.copysign(1.0, float(beta_h))
-    config = (sl * x[0], sl * x[1], sh * x[2], sh * x[3])
-    return FrontierPoint(
-        target_work=target_work,
-        eta=eta,
-        mode=mode,
-        config=config,
-        residual=abs(w - target_work),
-        evaluations=evals,
-        work=w,
-        start_index=start,
-    )
+    return _extremize(_carnot_problem(beta_l, beta_h, init_extent), target_work,
+                      mode, tol_w, budget, starts, seed)
 
 
 def max_work(
@@ -424,39 +416,23 @@ def max_work(
     seed: int = 0,
     init_extent: float | None = None,
 ) -> tuple[float, tuple[float, ...], int]:
-    """Unconstrained maximum mean work over altitude configurations.
-
-    Same descent machinery as optimize_efficiency with objective -W; returns
-    (work, config, evaluations) with work recomputed via the public evaluator.
+    """Unconstrained maximum mean engine work over altitude configurations:
+    optimize_efficiency's multistart from valid engine starts, with a plain
+    descent on -W.  Returns (work, config, evaluations), work via the public evaluator.
     """
-    if m < 1:
-        raise ValueError("ring must hold 2m >= 2 reservoirs")
-    _check_optimizer_args(1.0, budget, starts)
-    if init_extent is None:
-        init_extent = 16.0 / min(abs(float(beta_l)), abs(float(beta_h)))
-    point = _ring_point(beta_l, beta_h, m, pump=False)
-    public = _public_ring(beta_l, beta_h)
-    children = np.random.SeedSequence(_checked_seed(seed)).spawn(starts)
-    step0 = init_extent / 8.0
-    best: tuple[float, int, list[float]] | None = None
-    total = 0
+    make_point, public, ndim, extent, to_config = _ring_problem(m, beta_l, beta_h, init_extent)
+    point = make_point(False)
 
     def obj(z: list[float]) -> float:
         return -point(z)[0]
 
-    for si in range(starts):
-        rng = np.random.default_rng(children[si])
-        x0 = list(init_extent * (1.0 - rng.random(2 * m)))
-        fx = obj(x0)
-        total += 1
-        x, fx, used = _descend(obj, x0, fx, step0, budget)
-        total += used
-        w_pub = public(x)[0]
-        if best is None or -w_pub < best[0] - _TIE:
-            best = (-w_pub, si, x)
-    assert best is not None
-    w = -best[0]
-    return w, tuple(best[2]), total
+    def solve(x0: list[float], step0: float, budget: int):
+        x, _, used = _descend(obj, x0, obj(x0), step0, budget)
+        return x, True, used + 1
+
+    x, w, _, _, evals = _multistart(point, public, ndim, extent, budget, starts, seed,
+                                    solve, lambda w, q_high: -w)
+    return w, to_config(x), evals
 
 
 def frontier_curve(
@@ -476,25 +452,9 @@ def frontier_curve(
     ``m=None`` means the continuum cycle.  Each target gets its own
     deterministic child seed, so the curve is reproducible as a whole.
     """
+    problem = (_carnot_problem(beta_l, beta_h, init_extent) if m is None
+               else _ring_problem(m, beta_l, beta_h, init_extent))
     children = np.random.SeedSequence(_checked_seed(seed)).spawn(len(targets))
-    points = []
-    for target, child in zip(targets, children):
-        child_seed = int(child.generate_state(1, np.uint64)[0])
-        if m is None:
-            points.append(
-                carnot_frontier(beta_l, beta_h, float(target), mode, tol_w, budget,
-                                starts, child_seed, init_extent)
-            )
-        else:
-            points.append(
-                optimize_efficiency(m, beta_l, beta_h, float(target), mode, tol_w,
-                                    budget, starts, child_seed, init_extent)
-            )
-    return points
-
-
-def _check_optimizer_args(tol_w: float, budget: int, starts: int) -> None:
-    if not (tol_w > 0.0):
-        raise ValueError("tol_w must be positive")
-    if budget < 1 or starts < 1:
-        raise ValueError("budget and starts must be >= 1")
+    return [_extremize(problem, float(target), mode, tol_w, budget, starts,
+                       int(child.generate_state(1, np.uint64)[0]))
+            for target, child in zip(targets, children)]

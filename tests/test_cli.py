@@ -69,6 +69,15 @@ def test_degenerate_counts_leave_beta_null(capsys):
     assert doc["outputs"]["eta_carnot"] is None
 
 
+@pytest.mark.parametrize("n_h", ["0", "10"])
+def test_degenerate_hot_count_leaves_eta_carnot_null(n_h, capsys):
+    doc = run_json(["analytic", "otto", "--eps-l", "1", "--eps-h", "2",
+                    "--N", "10", "--n-l", "2", "--n-h", n_h], capsys)
+    assert doc["outputs"]["beta_l"] is not None
+    assert doc["outputs"]["beta_h"] is None
+    assert doc["outputs"]["eta_carnot"] is None
+
+
 def test_repeated_invocations_byte_identical(capsys):
     _, first, _ = run_cli(OTTO, capsys)
     _, second, _ = run_cli(OTTO, capsys)
@@ -264,6 +273,21 @@ def test_frontier_rejects_ambiguous_targets(capsys):
                             "--beta-h", "0.42"], capsys)
     assert code == 1
     assert "exactly one of" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("m, flags, message", [
+    ("1", ["--beta-l", "0"], "beta must be finite and nonzero"),
+    ("carnot", ["--beta-l", "0"], "beta must be finite and nonzero"),
+    ("1", ["--beta-l", "nan"], "beta must be finite and nonzero"),
+    ("carnot", ["--beta-l", "1.38", "--init-extent", "-1"], "init_extent must be finite and positive"),
+])
+def test_frontier_domain_errors_exit_one_with_json(m, flags, message, capsys):
+    argv = ["frontier", "--m", m, "--beta-h", "0.42", "--target-w", "0.1",
+            "--budget", "1000", "--starts", "2", *flags]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == message
 
 
 def test_frontier_carnot_alias(capsys):

@@ -189,6 +189,39 @@ def test_optimizer_argument_validation():
         frontier.optimize_efficiency(0, BL, BH, 0.1)
 
 
+@pytest.mark.parametrize("beta_l, beta_h", [(0.0, BH), (BL, 0.0), (math.nan, BH), (BL, math.inf)])
+def test_zero_or_nonfinite_beta_is_a_domain_error(beta_l, beta_h):
+    with pytest.raises(ValueError, match="beta must be finite and nonzero"):
+        frontier.optimize_efficiency(1, beta_l, beta_h, 0.1, **FAST)
+    with pytest.raises(ValueError, match="beta must be finite and nonzero"):
+        frontier.carnot_frontier(beta_l, beta_h, 0.1, **FAST)
+    with pytest.raises(ValueError, match="beta must be finite and nonzero"):
+        frontier.max_work(1, beta_l, beta_h, budget=100, starts=1)
+
+
+@pytest.mark.parametrize("extent", [0.0, -1.0, math.nan, math.inf])
+def test_bad_init_extent_is_a_domain_error(extent):
+    with pytest.raises(ValueError, match="init_extent must be finite and positive"):
+        frontier.optimize_efficiency(1, BL, BH, 0.1, init_extent=extent, **FAST)
+    with pytest.raises(ValueError, match="init_extent must be finite and positive"):
+        frontier.carnot_frontier(BL, BH, 0.1, init_extent=extent, **FAST)
+    with pytest.raises(ValueError, match="init_extent must be finite and positive"):
+        frontier.max_work(1, BL, BH, budget=100, starts=1, init_extent=extent)
+    with pytest.raises(ValueError, match="init_extent must be finite and positive"):
+        frontier.frontier_curve(None, BL, BH, np.array([0.1]), init_extent=extent)
+
+
+def test_optimizer_results_hold_python_floats():
+    quick = dict(tol_w=1e-3, budget=5_000, starts=2, seed=0)
+    for pt in (frontier.optimize_efficiency(1, BL, BH, 0.1, **quick),
+               frontier.carnot_frontier(BL, BH, 0.3, **quick)):
+        assert type(pt.eta) is float and type(pt.work) is float
+        assert all(type(v) is float for v in pt.config)
+    w, cfg, _ = frontier.max_work(2, BL, BH, budget=2_000, starts=2)
+    assert type(w) is float
+    assert all(type(v) is float for v in cfg)
+
+
 def test_carnot_reaches_carnot_efficiency():
     pt = frontier.carnot_frontier(BL, BH, 0.05, frontier.Mode.MAX, **FAST)
     assert pt.eta == pytest.approx(ETA_C, abs=1e-9)
