@@ -15,12 +15,14 @@ Exit codes: 0 success, 1 domain error (structured JSON message on stderr),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any
 
 import numpy as np
@@ -33,11 +35,16 @@ __all__ = ["main", "build_parser"]
 
 @dataclass
 class CommandResult:
+    """A command's document: JSON ``inputs`` and ``outputs``, and a table of
+    ``columns`` with one sequence of ``cells`` per column.  CSV writes the
+    table; JSON writes it as outputs["points"] when ``points`` is set."""
+
     inputs: dict[str, Any]
     outputs: dict[str, Any]
     seed: int | None
     columns: list[str]
-    rows: list[dict[str, Any]]
+    cells: list[Sequence[Any]]
+    points: bool = False
 
 
 def _float_list(text: str) -> list[float]:
@@ -93,47 +100,74 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _csv_cell(value: Any) -> str:
+_JSON_NULL = {"": "null", "nan": "null", "inf": "null", "-inf": "null"}
+
+
+def _text(value: Any) -> str:
+    """A scalar cell as CSV writes it: None empty, bools lower-case, else str()."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (list, tuple)):
-        return ";".join(_csv_cell(v) for v in value)
     return str(value)
 
 
+def _column(values: Sequence[Any], fmt: str, pad: str) -> list[str]:
+    """One table column as CSV or JSON cell texts.  Numbers need only str();
+    JSON quotes strings and writes the empty, nan and inf texts as null.
+    List cells (never empty) format their items as one column, then join
+    them with ';' or lay them out as an array at indent ``pad``."""
+    types = set(map(type, values))
+    if types and types <= {list, tuple}:
+        items = iter(_column([v for cell in values for v in cell], fmt, pad + "  "))
+        if fmt == "csv":
+            return [";".join(islice(items, len(cell))) for cell in values]
+        sep = f",\n{pad}  "
+        return [f"[\n{pad}  {sep.join(islice(items, len(cell)))}\n{pad}]" for cell in values]
+    texts = list(map(str if types <= {int, float} else _text, values))
+    if fmt == "csv":
+        return texts
+    if str not in types:
+        return list(map(_JSON_NULL.get, texts, texts))
+    return [json.dumps(v) if isinstance(v, str) else _JSON_NULL.get(t, t) for v, t in zip(values, texts)]
+
+
 def _emit(result: CommandResult, fmt: str, output: str | None) -> None:
-    if fmt == "json":
-        doc: dict[str, Any] = {
-            "inputs": _jsonable(result.inputs),
-            "outputs": _jsonable(result.outputs),
-            "version": __version__,
-        }
+    """Write the document, streaming the table row by row: CSV rows through
+    csv.writer, JSON rows through a template of the points array that json.dumps
+    (sort_keys=True, indent=2) writes for the rest of the document."""
+    with contextlib.nullcontext(sys.stdout) if output is None else open(output, "w", newline="") as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(result.columns)
+            writer.writerows(zip(*(_column(col, fmt, "") for col in result.cells)))
+            return
+        doc = {"inputs": _jsonable(result.inputs), "outputs": _jsonable(result.outputs),
+               "version": __version__}
         if result.seed is not None:
             doc["seed"] = result.seed
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(result.columns)
-        for row in result.rows:
-            writer.writerow([_csv_cell(row.get(col)) for col in result.columns])
-        text = buf.getvalue()
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
+        if result.points:
+            doc["outputs"]["points"] = []
+        head, points, tail = (json.dumps(doc, sort_keys=True, indent=2) + "\n").partition('"points": []')
+        if result.points and result.cells[0]:
+            pad = head[head.rfind("\n") + 1:] + "  "
+            order = sorted(range(len(result.columns)), key=result.columns.__getitem__)
+            keys = ",\n".join(f"{pad}  {json.dumps(result.columns[k])}: %s" for k in order)
+            template = f"{pad}{{\n{keys}\n{pad}}}"
+            rows = zip(*(_column(result.cells[k], fmt, pad + "  ") for k in order))
+            fh.write(head + '"points": [\n' + template % next(rows))
+            fh.writelines(map((",\n" + template).__mod__, rows))
+            head, points = "", f"\n{pad[:-2]}]"
+        fh.write(head + points + tail)
 
 
 def _scalar_result(inputs: dict[str, Any], outputs: dict[str, Any], seed: int | None = None) -> CommandResult:
     # one CSV row merging inputs and scalar outputs; on a name clash the
     # echoed input wins and the column appears once
-    columns = list(inputs)
-    columns += [k for k in outputs if not isinstance(outputs[k], dict) and k not in inputs]
     row = {**{k: v for k, v in outputs.items() if not isinstance(v, dict)}, **inputs}
-    return CommandResult(inputs=inputs, outputs=outputs, seed=seed, columns=columns, rows=[row])
+    columns = list(inputs) + [k for k in row if k not in inputs]
+    return CommandResult(inputs=inputs, outputs=outputs, seed=seed, columns=columns,
+                         cells=[[row[k]] for k in columns])
 
 
 # ---------------------------------------------------------------- handlers
@@ -259,11 +293,7 @@ def _handle_simulate(args: argparse.Namespace) -> CommandResult:
         "exact_match": report.exact_match,
         "passed": report.passed,
     }
-    result = _scalar_result(inputs, outputs, seed=args.seed)
-    result.columns = [c for c in result.columns if c != "histogram"]
-    for row in result.rows:
-        row.pop("histogram", None)
-    return result
+    return _scalar_result(inputs, outputs, seed=args.seed)
 
 
 def _continuum_endpoints(args: argparse.Namespace) -> continuum.CarnotEndpoints:
@@ -340,18 +370,11 @@ def _handle_frontier(args: argparse.Namespace) -> CommandResult:
         args.m, args.beta_l, args.beta_h, targets, frontier.Mode(args.mode),
         args.tol_w, args.budget, args.starts, args.seed, args.init_extent,
     )
-    rows = [
-        {
-            "m": inputs["m"], "beta_l": args.beta_l, "beta_h": args.beta_h,
-            "mode": args.mode, "target_W": p.target_work, "W": p.work, "eta": p.eta,
-            "residual": p.residual, "evaluations": p.evaluations,
-            "start_index": p.start_index, "config": list(p.config),
-        }
-        for p in points
-    ]
-    outputs = {"points": rows}
-    return CommandResult(inputs=inputs, outputs=outputs, seed=args.seed,
-                         columns=_FRONTIER_COLUMNS, rows=rows)
+    fields = ("target_work", "work", "eta", "residual", "evaluations", "start_index", "config")
+    cells = [[v] * len(points) for v in (inputs["m"], args.beta_l, args.beta_h, args.mode)]
+    cells += [[getattr(p, f) for p in points] for f in fields]
+    return CommandResult(inputs=inputs, outputs={}, seed=args.seed,
+                         columns=_FRONTIER_COLUMNS, cells=cells, points=True)
 
 
 _REGION_COLUMNS = ["W", "eta", "engine", "config"]
@@ -365,18 +388,11 @@ def _handle_region(args: argparse.Namespace) -> CommandResult:
     sample = frontier.sample_region(
         args.m, args.beta_l, args.beta_h, args.samples, args.eps_max, args.seed
     )
-    rows = [
-        {
-            "W": float(w),
-            "eta": None if not math.isfinite(e) else float(e),
-            "engine": bool(g),
-            "config": [float(v) for v in eps_row],
-        }
-        for w, e, g, eps_row in zip(sample.work, sample.efficiency, sample.engine, sample.eps)
-    ]
-    outputs = {"points": rows}
-    return CommandResult(inputs=inputs, outputs=outputs, seed=args.seed,
-                         columns=_REGION_COLUMNS, rows=rows)
+    cells = [sample.work.tolist(),
+             [e if math.isfinite(e) else None for e in sample.efficiency.tolist()],
+             sample.engine.tolist(), sample.eps.tolist()]
+    return CommandResult(inputs=inputs, outputs={}, seed=args.seed,
+                         columns=_REGION_COLUMNS, cells=cells, points=True)
 
 
 # ---------------------------------------------------------------- parser

@@ -291,11 +291,11 @@ def _multistart(point, public, ndim: int, extent: float, budget: int, starts: in
 
 def _checked_extent(init_extent: float | None, default: float) -> float:
     """The start extent: ``default`` unless an ``init_extent`` is given."""
-    if init_extent is None:
-        return default
-    if not (math.isfinite(init_extent) and init_extent > 0.0):
-        raise ValueError("init_extent must be finite and positive")
-    return init_extent
+    extent = default if init_extent is None else init_extent
+    if not (math.isfinite(extent) and extent > 0.0):
+        hint = "" if init_extent is not None else f" (default {extent!r}); set --init-extent"
+        raise ValueError("init_extent must be finite and positive" + hint)
+    return extent
 
 
 def _ring_problem(m: int, beta_l: float, beta_h: float, init_extent: float | None):
@@ -421,6 +421,8 @@ def max_work(
     descent on -W.  Returns (work, config, evaluations), work via the public evaluator.
     """
     make_point, public, ndim, extent, to_config = _ring_problem(m, beta_l, beta_h, init_extent)
+    if beta_h < 0.0:  # f(beta_h*eps) -> 1 as a hot altitude grows, and W with it
+        raise ValueError("max_work is unbounded for beta_h < 0")
     point = make_point(False)
 
     def obj(z: list[float]) -> float:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 
 import urnengine
 from urnengine import analytic, cli, thermo
+from urnengine import frontier as fr
 import numpy as np
 
 OTTO = ["analytic", "otto", "--eps-l", "1", "--eps-h", "2",
@@ -290,6 +292,17 @@ def test_frontier_domain_errors_exit_one_with_json(m, flags, message, capsys):
     assert json.loads(err)["error"] == message
 
 
+def test_frontier_overflowing_default_extent_names_the_flag(capsys):
+    # 16 / min(|beta_l|, |beta_h|) overflows to inf for a subnormal beta
+    argv = ["frontier", "--m", "1", "--beta-l", "1e-310", "--beta-h", "0.42", "--target-w", "0.1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    message = json.loads(err)["error"]
+    assert message.startswith("init_extent must be finite and positive")
+    assert "--init-extent" in message
+
+
 def test_frontier_carnot_alias(capsys):
     argv = ["frontier", "--m", "carnot", "--beta-l", "1.38", "--beta-h", "0.42",
             "--target-w", "0.05", "--tol-w", "1e-3", "--budget", "60000",
@@ -312,13 +325,159 @@ def test_region_rows(capsys):
     assert {r[2] for r in rows[1:]} <= {"true", "false"}
 
 
+def _region_sample(m):
+    sample = fr.sample_region(m, 1.38, 0.42, 40, 5.0, seed=2)
+    assert not sample.engine.all()  # some rows carry an undefined eta
+    return sample
+
+
 def test_region_json_matches_library(capsys):
-    from urnengine import frontier as fr
-    doc = run_json(["region", "--m", "1", "--beta-l", "1.38", "--beta-h", "0.42",
-                    "--samples", "20", "--eps-max", "5", "--seed", "2"], capsys)
-    sample = fr.sample_region(1, 1.38, 0.42, 20, 5.0, seed=2)
-    got = [p["W"] for p in doc["outputs"]["points"]]
-    assert np.allclose(got, sample.work)
+    for m in (1, 2):
+        doc = run_json(["region", "--m", str(m), "--beta-l", "1.38", "--beta-h", "0.42",
+                        "--samples", "40", "--eps-max", "5", "--seed", "2"], capsys)
+        sample = _region_sample(m)
+        expected = [
+            {"W": w, "eta": None if math.isnan(e) else e, "engine": g, "config": c}
+            for w, e, g, c in zip(sample.work.tolist(), sample.efficiency.tolist(),
+                                  sample.engine.tolist(), sample.eps.tolist())
+        ]
+        assert doc["outputs"]["points"] == expected
+
+
+def test_region_csv_matches_library(capsys):
+    for m in (1, 2):
+        code, out, _ = run_cli(["region", "--m", str(m), "--beta-l", "1.38", "--beta-h", "0.42",
+                                "--samples", "40", "--eps-max", "5", "--seed", "2",
+                                "--format", "csv"], capsys)
+        assert code == 0
+        sample = _region_sample(m)
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [float(r[0]) for r in rows] == sample.work.tolist()
+        assert [None if r[1] == "" else float(r[1]) for r in rows] == [
+            None if math.isnan(e) else e for e in sample.efficiency.tolist()]
+        assert [r[2] == "true" for r in rows] == sample.engine.tolist()
+        assert [[float(v) for v in r[3].split(";")] for r in rows] == sample.eps.tolist()
+
+
+# Reference encoding: every row a dict, JSON through _jsonable and
+# json.dumps(sort_keys=True, indent=2), CSV cell by cell through csv.writer.
+# The CLI's column writer must match it byte for byte.
+
+def _jsonable(value):
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return ";".join(_csv_cell(v) for v in value)
+    return str(value)
+
+
+def _reference_document(fmt, inputs, outputs, seed, columns, rows):
+    if fmt == "json":
+        doc = {"inputs": _jsonable(inputs), "outputs": _jsonable(outputs),
+               "version": urnengine.__version__}
+        if seed is not None:
+            doc["seed"] = seed
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_csv_cell(row.get(col)) for col in columns])
+    return buf.getvalue()
+
+
+def _written(argv, tmp_path):
+    path = tmp_path / "doc"
+    assert cli.main(argv + ["--output", str(path)]) == 0
+    return path.read_bytes().decode()
+
+
+def _inputs(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.handler(args).inputs
+
+
+_EDGE = [-0.0, 5e-324, 1e-310, 1e+16, 0.1, -2.5, 7.0, 3e-5]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_region_writer_matches_dict_rows(fmt, tmp_path, monkeypatch):
+    work = np.array([-0.0, 5e-324, 1e-310, 1e+16, math.nan, math.inf, -math.inf, 0.25])
+    eta = np.array([0.5, -0.0, math.nan, 1e+16, 5e-324, math.inf, 1e-310, math.nan])
+    engine = np.array([True, False, True, True, False, True, False, False])
+    eps = np.array([np.roll(_EDGE, k)[:6] for k in range(8)])  # m = 3
+    sample = fr.RegionSample(work=work, efficiency=eta, engine=engine, eps=eps)
+    monkeypatch.setattr(fr, "sample_region", lambda *args: sample)
+    argv = ["region", "--m", "3", "--beta-l", "1.38", "--beta-h", "0.42", "--samples", "8",
+            "--eps-max", "1e308", "--seed", "5", "--format", fmt]
+    rows = [
+        {"W": float(w), "eta": None if not math.isfinite(e) else float(e),
+         "engine": bool(g), "config": [float(v) for v in eps_row]}
+        for w, e, g, eps_row in zip(sample.work, sample.efficiency, sample.engine, sample.eps)
+    ]
+    expected = _reference_document(fmt, _inputs(argv), {"points": rows}, 5,
+                                   ["W", "eta", "engine", "config"], rows)
+    assert _written(argv, tmp_path) == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("m", ["carnot", "2"])
+def test_frontier_writer_matches_dict_rows(m, fmt, tmp_path, monkeypatch):
+    points = [
+        fr.FrontierPoint(target_work=0.1, eta=0.6, mode=fr.Mode.MAX, config=tuple(_EDGE[:4]),
+                         residual=1e+16, evaluations=7, work=-0.0, start_index=0),
+        fr.FrontierPoint(target_work=-0.0, eta=math.nan, mode=fr.Mode.MAX,
+                         config=(5e-324, math.inf, 0.2, 1e-310), residual=math.nan,
+                         evaluations=123_456, work=math.inf, start_index=15),
+    ]
+    monkeypatch.setattr(fr, "frontier_curve", lambda *args: points)
+    argv = ["frontier", "--m", m, "--beta-l", "1.38", "--beta-h", "0.42",
+            "--w-grid=-0.0:0.1:2", "--format", fmt]
+    inputs = _inputs(argv)
+    rows = [
+        {"m": inputs["m"], "beta_l": 1.38, "beta_h": 0.42, "mode": "max",
+         "target_W": p.target_work, "W": p.work, "eta": p.eta, "residual": p.residual,
+         "evaluations": p.evaluations, "start_index": p.start_index, "config": list(p.config)}
+        for p in points
+    ]
+    columns = ["m", "beta_l", "beta_h", "mode", "target_W", "W", "eta",
+               "residual", "evaluations", "start_index", "config"]
+    expected = _reference_document(fmt, inputs, {"points": rows}, 0, columns, rows)
+    assert _written(argv, tmp_path) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", "otto", "--eps-l", "1", "--eps-h", "2", "--N", "100", "--n-l", "0", "--n-h", "30"],
+    ["analytic", "ring", "--eps", "1,1.5,2.5,2", "--f-mean", "0.2,0.25,0.3,0.35"],
+    ["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "20", "--n-h", "30",
+     "--N", "100", "--trials", "1000", "--seed", "1"],
+    ["continuum", "reversible", "--beta-l", "1.38", "--beta-h", "-0.42", "--l1", "1", "--lm", "2"],
+])
+def test_scalar_csv_matches_dict_row(argv, tmp_path):
+    args = cli.build_parser().parse_args(argv)
+    result = args.handler(args)
+    inputs, outputs = result.inputs, result.outputs
+    # one row merging inputs and scalar outputs, the echoed input winning a clash
+    columns = list(inputs) + [k for k in outputs if not isinstance(outputs[k], dict) and k not in inputs]
+    row = {**{k: v for k, v in outputs.items() if not isinstance(v, dict)}, **inputs}
+    expected = _reference_document("csv", inputs, outputs, None, columns, [row])
+    assert _written(argv + ["--format", "csv"], tmp_path) == expected
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

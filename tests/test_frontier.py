@@ -211,6 +211,22 @@ def test_bad_init_extent_is_a_domain_error(extent):
         frontier.frontier_curve(None, BL, BH, np.array([0.1]), init_extent=extent)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("beta_l, beta_h", [(-1.0, -0.5), (-0.5, -1.0), (1.0, -0.5)])
+def test_max_work_is_unbounded_for_negative_beta_h(m, beta_l, beta_h):
+    # f(beta_h * eps) -> 1 as a hot altitude grows, so the work has no maximum;
+    # a descent would report whatever its budget reached
+    with pytest.raises(ValueError, match="max_work is unbounded for beta_h < 0"):
+        frontier.max_work(m, beta_l, beta_h, budget=2_000, starts=2)
+
+
+def test_overflowing_default_extent_is_a_domain_error():
+    with pytest.raises(ValueError, match=r"init_extent must be finite and positive \(default inf\)"):
+        frontier.optimize_efficiency(1, 1e-310, BH, 0.1, **FAST)
+    with pytest.raises(ValueError, match="set --init-extent"):
+        frontier.max_work(2, 1e-310, BH, budget=100, starts=1)
+
+
 def test_optimizer_results_hold_python_floats():
     quick = dict(tol_w=1e-3, budget=5_000, starts=2, seed=0)
     for pt in (frontier.optimize_efficiency(1, BL, BH, 0.1, **quick),
