@@ -1,8 +1,10 @@
 """Generate region-scatter and frontier-curve CSV files for plotting.
 
 Writes region_m{m}.csv (one row per sampled cycle) and frontier_m{m}.csv
-(one row per work target) into --outdir.  The frontier run uses the full
-optimizer defaults, so expect minutes, not seconds, for fine grids.
+(one row per work target) into --outdir.  m=1 targets take the exact m=1
+path (a few hundredths of a second each); m >= 2 runs the multistart search
+at the full optimizer defaults, several seconds per target, so expect
+minutes for fine grids at m >= 2.
 """
 
 import argparse

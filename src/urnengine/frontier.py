@@ -5,16 +5,19 @@ temperatures is explored two ways: scatter sampling of altitude
 configurations drawn uniformly from (0, eps_max]^{2m}, and an optimizer that
 extremizes the efficiency subject to |W - target| <= tol_W.
 
-The optimizer is multistart derivative-free coordinate descent on a quadratic
-penalty objective.  Gradients are unreliable here: the engine/pump sign
-regimes and negative-beta cases fold the feasible set, while a single
-objective evaluation is a handful of exponentials, so robustness wins over
-speed.  Fixed schedule: initial step = init extent / 8, halve on a sweep
-without improvement, stop a descent at step < 1e-6 or the per-start budget;
-penalty weight starts at 1e2 and is multiplied by 10 (cap 1e12) until the
-work residual fits tol_W.  Starts are seeded deterministically from valid
-rejection-sampled points, and among objectives within 1e-12 of the best the
-lowest start index wins, so results are reproducible for a given seed.
+Where a closed form exists the optimizer solves exactly: the m=1 engine by a
+search over eps_l/eps_h, the continuum maximum at the Carnot value (see
+_ring_problem and _carnot_problem).  Elsewhere it runs multistart
+derivative-free coordinate descent on a quadratic penalty objective.
+Gradients are unreliable here: the engine/pump sign regimes and negative-beta
+cases fold the feasible set, while a single objective evaluation is a handful
+of exponentials, so robustness wins over speed.  Fixed schedule: initial step
+= init extent / 8, halve on a sweep without improvement, stop a descent at
+step < 1e-6 or the per-start budget; penalty weight starts at 1e2 and is
+multiplied by 10 (cap 1e12) until the work residual fits tol_W.  Starts are
+seeded deterministically from valid rejection-sampled points, and among
+objectives within 1e-12 of the best the lowest start index wins, so results
+are reproducible for a given seed.
 
 Finite m evaluates the discrete ring at equilibrium occupancies f(beta*eps);
 ``carnot_frontier`` extremizes the continuum cycle over its four reduced
@@ -32,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _efficiency, _equilibrium_weights, _ring_heats
-from .continuum import CarnotEndpoints, _branch_heats, _checked_betas, continuum_heats
+from .continuum import (CarnotEndpoints, _branch_heats, _checked_betas, continuum_heats,
+                        max_reversible_work)
 from .montecarlo import _checked_seed
 from .thermo import occupancy
 
@@ -54,6 +58,7 @@ _PENALTY_GROWTH = 10.0
 _PENALTY_CAP = 1e12
 _FLOOR = 1e-9  # altitudes and endpoint magnitudes stay strictly positive
 _TIE = 1e-12
+_CARNOT_LM = 40.0  # the exact continuum path's last cold reduced endpoint
 
 DEFAULT_TOL_W = 1e-4
 DEFAULT_BUDGET = 200_000  # objective evaluations per start
@@ -252,6 +257,13 @@ def _solve_start(point, x0: list[float], sign: float, target: float, tol_w: floa
         evals += 1
 
 
+def _checked_starts(budget: int, starts: int, seed: int) -> int:
+    """The start seed, once budget, starts and seed are valid."""
+    if budget < 1 or starts < 1:
+        raise ValueError("budget and starts must be >= 1")
+    return _checked_seed(seed)
+
+
 def _multistart(point, public, ndim: int, extent: float, budget: int, starts: int,
                 seed: int, solve, score):
     """Run every start and return the winner (x, W, Q_high, start_index, evals).
@@ -260,9 +272,7 @@ def _multistart(point, public, ndim: int, extent: float, budget: int, starts: in
     rejection-sampled valid point; ok results, re-evaluated by ``public``, rank by
     ``score(W, Q_high)``: lower wins, None rejects, ties within _TIE go to the lowest start.
     """
-    if budget < 1 or starts < 1:
-        raise ValueError("budget and starts must be >= 1")
-    children = np.random.SeedSequence(_checked_seed(seed)).spawn(starts)
+    children = np.random.SeedSequence(_checked_starts(budget, starts, seed)).spawn(starts)
     total_evals = 0
     found = []  # (score, start_index, x, w_public, q_high_public), in start order
     for si in range(starts):
@@ -298,8 +308,18 @@ def _checked_extent(init_extent: float | None, default: float) -> float:
     return extent
 
 
+def _bisect(pred, lo: float, hi: float, width: float = 0.0) -> tuple[float, float]:
+    """Shrink [lo, hi] around the point where ``pred`` turns from false (at lo)
+    to true (at hi), down to ``width`` or to adjacent floats."""
+    mid = 0.5 * (lo + hi)
+    while hi - lo > width and lo < mid < hi:
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+        mid = 0.5 * (lo + hi)
+    return lo, hi
+
+
 def _ring_problem(m: int, beta_l: float, beta_h: float, init_extent: float | None):
-    """(point, public, ndim, extent, to_config) of an m-sub-reservoir ring;
+    """(point, public, ndim, extent, to_config, exact) of an m-sub-reservoir ring;
     ``point(pump)`` builds the scalar fast path, ``public`` the batched one."""
     if m < 1:
         raise ValueError("ring must hold 2m >= 2 reservoirs")
@@ -310,13 +330,42 @@ def _ring_problem(m: int, beta_l: float, beta_h: float, init_extent: float | Non
         _, q_high, w = _ring_heats(row, _equilibrium_weights(bl, bh, row))
         return float(w[0]), float(q_high[0])
 
+    def exact(work, target: float, mode: Mode) -> list[float] | None:
+        """m=1 engines, 0 < beta_h < beta_l.  At r = eps_l/eps_h, eta = 1 - r and W
+        sweeps (0, maxW(r)] with eps_h, so MAX bisects r down and MIN up to where
+        maxW(r), a maximum over log eps_h, meets the target (or peaks short of it);
+        a last bisection over log eps_h puts W on the target."""
+        if bl < 0.0 and target >= 0.0:  # f_l > 1/2 > f_h: the hot side always absorbs
+            raise ValueError("no m=1 engine exists for beta_l < 0 < beta_h")
+        if not target > 0.0:
+            return None  # pumps and W = 0 take the search
+        lo_x, hi_x, r0 = -math.log(bh) - 12.0, -math.log(bh) + 6.0, bh / bl
+
+        def w_at(r: float, x: float) -> float:
+            return work([r * math.exp(x), math.exp(x)])
+
+        def best(r: float) -> tuple[float, float]:  # (log eps_h, maxW(r)): bisect W's slope
+            x = _bisect(lambda x: w_at(r, x + _STEP_STOP) <= w_at(r, x - _STEP_STOP),
+                        lo_x, hi_x, _STEP_STOP)[1]
+            return x, w_at(r, x)
+
+        r_top = _bisect(lambda r: best(r + _STEP_STOP)[1] <= best(r - _STEP_STOP)[1],
+                        r0, 1.0, _STEP_STOP)[1]
+        if mode is Mode.MAX:
+            r = _bisect(lambda r: best(r)[1] >= target, r0, r_top)[1]
+        else:
+            r = _bisect(lambda r: best(r)[1] < target, r_top, 1.0)[0]
+        x = _bisect(lambda x: w_at(r, x) >= target, lo_x, best(r)[0])[1]
+        return [r * math.exp(x), math.exp(x)]
+
     extent = _checked_extent(init_extent, 16.0 / min(abs(bl), abs(bh)))
-    return (lambda pump: _ring_point(bl, bh, m, pump)), public, 2 * m, extent, tuple
+    exact = exact if m == 1 and (bl < 0.0 < bh or 0.0 < bh < bl) else None
+    return (lambda pump: _ring_point(bl, bh, m, pump)), public, 2 * m, extent, tuple, exact
 
 
 def _carnot_problem(beta_l: float, beta_h: float, init_extent: float | None):
-    """(point, public, ndim, extent, to_config) of the continuum cycle over its
-    endpoint magnitudes, signs pinned to the betas; ``to_config`` signs them."""
+    """(point, public, ndim, extent, to_config, exact) of the continuum cycle over
+    its endpoint magnitudes, signs pinned to the betas; ``to_config`` signs them."""
     bl, bh = _checked_betas(beta_l, beta_h)
     sl, sh = math.copysign(1.0, bl), math.copysign(1.0, bh)
 
@@ -337,13 +386,26 @@ def _carnot_problem(beta_l: float, beta_h: float, init_extent: float | None):
         res = continuum_heats(CarnotEndpoints(bl, bh, *to_config(u)))
         return res.work, res.heat_high
 
-    return make_point, public, 4, _checked_extent(init_extent, 20.0), to_config
+    def exact(work, target: float, mode: Mode) -> list[float] | None:
+        """MAX, positive betas, 0 < W < max_reversible_work.  For beta_l > 0 the
+        second law caps eta at the Carnot value, which the reversible cycle
+        reaches with W = (1/beta_h - 1/beta_l)(s(L1) - s(Lm)).  Lm = _CARNOT_LM,
+        where s(Lm) ~ 2e-16 leaves the work to L1 alone; L1 is bisected onto it."""
+        if mode is not Mode.MAX or not 0.0 < target < max_reversible_work(bl, bh):
+            return None
+        l1 = _bisect(lambda l1: work([l1, _CARNOT_LM, _CARNOT_LM, l1]) <= target,
+                     _FLOOR, _CARNOT_LM)[1]
+        return [l1, _CARNOT_LM, _CARNOT_LM, l1]
+
+    exact = exact if bl > 0.0 and bh > 0.0 else None
+    return make_point, public, 4, _checked_extent(init_extent, 20.0), to_config, exact
 
 
 def _extremize(problem, target_work: float, mode: Mode, tol_w: float, budget: int,
                starts: int, seed: int) -> FrontierPoint:
-    """Penalty multistart on one builder's problem at fixed work."""
-    make_point, public, ndim, extent, to_config = problem
+    """One builder's problem at fixed work: its exact solver where that applies,
+    else the penalty multistart."""
+    make_point, public, ndim, extent, to_config, exact = problem
     if not (tol_w > 0.0):
         raise ValueError("tol_w must be positive")
     mode = Mode(mode)
@@ -358,8 +420,24 @@ def _extremize(problem, target_work: float, mode: Mode, tol_w: float, budget: in
         feasible = _regime_ok(w, q_high, pump) and abs(w - target_work) <= tol_w
         return sign * (w / -q_high) if feasible else None
 
-    x, w, q_high, start, evals = _multistart(point, public, ndim, extent, budget, starts,
-                                             seed, solve, score)
+    x = None
+    if exact is not None:  # spends no budget; evals counts its scalar evaluations
+        _checked_starts(budget, starts, seed)
+        evals = 0
+
+        def work(z: list[float]) -> float:
+            nonlocal evals
+            evals += 1
+            return point(z)[0]
+
+        x = exact(work, target_work, mode)
+    if x is None:
+        x, w, q_high, start, evals = _multistart(point, public, ndim, extent, budget, starts,
+                                                 seed, solve, score)
+    else:
+        (w, q_high), start = public(x), 0
+        if score(w, q_high) is None:
+            raise ValueError("infeasible or budget too small")
     return FrontierPoint(target_work=target_work, eta=w / -q_high, mode=mode,
                          config=to_config(x), residual=abs(w - target_work),
                          evaluations=evals, work=w, start_index=start)
@@ -420,9 +498,11 @@ def max_work(
     optimize_efficiency's multistart from valid engine starts, with a plain
     descent on -W.  Returns (work, config, evaluations), work via the public evaluator.
     """
-    make_point, public, ndim, extent, to_config = _ring_problem(m, beta_l, beta_h, init_extent)
+    make_point, public, ndim, extent, to_config, _ = _ring_problem(m, beta_l, beta_h, init_extent)
     if beta_h < 0.0:  # f(beta_h*eps) -> 1 as a hot altitude grows, and W with it
         raise ValueError("max_work is unbounded for beta_h < 0")
+    if m == 1 and beta_l < 0.0:  # f_l > 1/2 > f_h: the hot side always absorbs
+        raise ValueError("no m=1 engine exists for beta_l < 0 < beta_h")
     point = make_point(False)
 
     def obj(z: list[float]) -> float:

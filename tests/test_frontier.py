@@ -297,3 +297,107 @@ def test_frontier_curve_deterministic_and_ordered():
     b = frontier.frontier_curve(1, BL, BH, targets, frontier.Mode.MAX, 1e-4, 30_000, 4, 9, None)
     assert [p.eta for p in a] == [p.eta for p in b]
     assert [p.target_work for p in a] == [0.05, 0.15]
+
+
+# ------------------------------------------------------- exact m=1 and continuum paths
+
+
+def _no_search(monkeypatch):
+    """Make any call into the multistart search fail the test."""
+    def search(*args):
+        raise AssertionError("the multistart search ran")
+
+    monkeypatch.setattr(frontier, "_multistart", search)
+
+
+def _grid_max_work(ratios, log_eps_h):
+    """Max over the eps_h grid of the m=1 work at each ratio eps_l/eps_h."""
+    eps_h = np.exp(log_eps_h)
+    best = np.empty(len(ratios))
+    for i in range(0, len(ratios), 200):
+        eps_l = ratios[i:i + 200, None] * eps_h
+        rows = np.column_stack([eps_l.ravel(), np.broadcast_to(eps_h, eps_l.shape).ravel()])
+        work, _, _ = frontier.evaluate_configs(BL, BH, rows)
+        best[i:i + 200] = work.reshape(eps_l.shape).max(axis=1)
+    return best
+
+
+def test_m1_max_lands_in_the_exact_band_with_two_starts():
+    # the search stopped two starts short of the maximum here (eta 0.640880)
+    pt = frontier.optimize_efficiency(1, BL, BH, 0.1, starts=2)
+    assert 0.642142 <= pt.eta <= 0.642282
+    assert pt.start_index == 0
+
+
+@pytest.mark.parametrize("mode", [frontier.Mode.MAX, frontier.Mode.MIN])
+def test_m1_exact_point_is_not_beaten_on_a_dense_grid(mode):
+    target = 0.1
+    pt = frontier.optimize_efficiency(1, BL, BH, target, mode, starts=2)
+    # every ratio with a better eta = 1 - r stays short of the target
+    ratios = np.concatenate([np.linspace(BH / BL, 1.0, 6001)[1:-1],
+                             1.0 - pt.eta + np.linspace(-1e-3, 1e-3, 2001)])
+    better = (1.0 - ratios > pt.eta + 1e-9) if mode is frontier.Mode.MAX else (1.0 - ratios < pt.eta - 1e-9)
+    log_eps_h = np.log(1.0 / BH) + np.linspace(-6.0, 4.0, 2001)
+    assert better.sum() > 1400
+    assert _grid_max_work(ratios[better], log_eps_h).max() < target
+    # and the returned ratio reaches it
+    assert _grid_max_work(np.array([1.0 - pt.eta]), log_eps_h)[0] >= target - 1e-4
+
+
+@pytest.mark.parametrize("mode", [frontier.Mode.MAX, frontier.Mode.MIN])
+@pytest.mark.parametrize("target", [0.02, 0.1, 0.18])
+def test_m1_exact_residual_is_at_rounding_level(mode, target):
+    pt = frontier.optimize_efficiency(1, BL, BH, target, mode)
+    work, eta, engine = frontier.evaluate_configs(BL, BH, np.array([pt.config]))
+    assert engine[0] and eta[0] == pt.eta and work[0] == pt.work
+    assert pt.residual <= 1e-15  # W is a sum of heats of order 1
+    assert pt.eta == pytest.approx(1.0 - pt.config[0] / pt.config[1], abs=1e-15)
+
+
+def test_m1_target_above_the_maximum_work_raises_without_a_search(monkeypatch):
+    _no_search(monkeypatch)
+    with pytest.raises(ValueError, match="infeasible or budget too small"):
+        frontier.optimize_efficiency(1, BL, BH, 0.25)
+    with pytest.raises(ValueError, match="infeasible or budget too small"):
+        frontier.optimize_efficiency(1, BL, BH, 0.25, frontier.Mode.MIN)
+    # within tol_w above the peak work (0.2020376) the peak is a feasible answer
+    pt = frontier.optimize_efficiency(1, BL, BH, 0.20205)
+    assert pt.work < 0.20205 and pt.residual <= 1e-4
+
+
+def test_exact_paths_validate_like_the_search(monkeypatch):
+    _no_search(monkeypatch)
+    for solve in (lambda **kw: frontier.optimize_efficiency(1, BL, BH, 0.1, **kw),
+                  lambda **kw: frontier.carnot_frontier(BL, BH, 0.3, **kw)):
+        with pytest.raises(ValueError, match="budget and starts"):
+            solve(budget=0)
+        with pytest.raises(ValueError, match="budget and starts"):
+            solve(starts=0)
+        with pytest.raises(ValueError, match="seed must be in"):
+            solve(seed=-1)
+        with pytest.raises(ValueError, match="init_extent must be finite and positive"):
+            solve(init_extent=math.nan)
+        with pytest.raises(ValueError, match="tol_w"):
+            solve(tol_w=0.0)
+        pt = solve(budget=1, starts=1)  # the exact paths spend no budget
+        assert pt.start_index == 0 and pt.residual <= 1e-15
+
+
+@pytest.mark.parametrize("target", [0.05, 0.3, 0.6])
+def test_carnot_max_is_the_closed_form(target):
+    pt = frontier.carnot_frontier(BL, BH, target, frontier.Mode.MAX)
+    res = continuum.continuum_heats(continuum.CarnotEndpoints(BL, BH, *pt.config))
+    assert abs(res.efficiency - thermo.carnot_efficiency(BL, BH)) <= 1e-12
+    assert res.work == pt.work and res.efficiency == pt.eta
+    assert pt.residual <= 1e-15
+    assert pt.evaluations < 1_000 and pt.start_index == 0
+
+
+def test_opposite_sign_betas_have_no_m1_engine(monkeypatch):
+    _no_search(monkeypatch)
+    # beta_l < 0 < beta_h: f_l > 1/2 > f_h, so Q_h = eps_h (f_l - f_h) > 0 everywhere
+    for target in (0.1, 0.0):
+        with pytest.raises(ValueError, match="no m=1 engine exists for beta_l < 0 < beta_h"):
+            frontier.optimize_efficiency(1, -1.0, 0.5, target)
+    with pytest.raises(ValueError, match="no m=1 engine exists for beta_l < 0 < beta_h"):
+        frontier.max_work(1, -1.0, 0.5)
