@@ -114,16 +114,21 @@ def efficiency_otto(eps_l: float, eps_h: float) -> float:
     return 1.0 - eps_l / eps_h
 
 
-def _ring_heats(eps: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group heats and work over rows of rings: (Q_low, Q_high, W).
+def _ring_heats(eps, f):
+    """Group heats and work of a ring: (Q_low, Q_high, W).
 
-    Row i holds one ring's altitudes ``eps[i]`` and mean weights ``f[i]``,
-    low group first; W = -(Q_low + Q_high) by energy conservation.
+    ``eps[k]`` and ``f[k]`` are reservoir k's altitude and mean weight, low
+    group first: Python floats for one ring, or arrays holding one entry per
+    ring for a batch.  Heats add in ring order either way, so a ring gets the
+    same bits alone and in a batch; W = -(Q_low + Q_high) by energy
+    conservation.
     """
-    m = eps.shape[1] // 2
-    q = eps * (np.roll(f, 1, axis=1) - f)
-    q_low = q[:, :m].sum(axis=1)
-    q_high = q[:, m:].sum(axis=1)
+    m = len(eps) // 2
+    q_low = eps[0] * (f[-1] - f[0])
+    q_high = eps[m] * (f[m - 1] - f[m])
+    for k in range(1, m):
+        q_low += eps[k] * (f[k - 1] - f[k])
+        q_high += eps[m + k] * (f[m + k - 1] - f[m + k])
     return q_low, q_high, -(q_low + q_high)
 
 
@@ -146,8 +151,7 @@ def _equilibrium_weights(beta_l: float, beta_h: float, eps: np.ndarray) -> np.nd
 
 def mean_heats_ring(spec: RingSpec) -> tuple[float, float, float]:
     """Group heats (Q_low, Q_high) and mean work W = -(Q_low + Q_high)."""
-    q_low, q_high, w = _ring_heats(spec.altitudes[None], spec.mean_weights[None])
-    return float(q_low[0]), float(q_high[0]), float(w[0])
+    return _ring_heats(spec.altitudes.tolist(), spec.mean_weights.tolist())
 
 
 def work_statistics_ring(spec: RingSpec) -> WorkStatistics:

@@ -334,12 +334,9 @@ def _handle_continuum_reversible(args: argparse.Namespace) -> CommandResult:
         raise ValueError("need --l1/--lm or --eps-l1/--eps-lm")
     inputs = {"beta_l": args.beta_l, "beta_h": args.beta_h, "L1": l1, "Lm": lm}
     w, eta = continuum.reversible_work(args.beta_l, args.beta_h, l1, lm)
-    outputs: dict[str, Any] = {"W": w, "eta": eta}
-    if (args.beta_l > 0) == (args.beta_h > 0):
-        res = continuum.continuum_heats(continuum.reversible_endpoints(args.beta_l, args.beta_h, l1, lm))
-        outputs["identity_residual"] = args.beta_l * res.heat_low + args.beta_h * res.heat_high
-    else:
-        outputs["identity_residual"] = None
+    res = continuum.continuum_heats(continuum.reversible_endpoints(args.beta_l, args.beta_h, l1, lm))
+    outputs = {"W": w, "eta": eta,
+               "identity_residual": args.beta_l * res.heat_low + args.beta_h * res.heat_high}
     return _scalar_result(inputs, outputs)
 
 

@@ -53,6 +53,15 @@ def _checked_betas(beta_l: float, beta_h: float) -> tuple[float, float]:
     return bl, bh
 
 
+def _matched_betas(beta_l: float, beta_h: float) -> tuple[float, float]:
+    """Checked betas of a reversible cycle, whose matched ends H1 = Lm and
+    Hm = L1 need beta_l and beta_h to share a sign."""
+    bl, bh = _checked_betas(beta_l, beta_h)
+    if (bl > 0.0) != (bh > 0.0):
+        raise ValueError("reversible cycle needs sign(beta_l) = sign(beta_h)")
+    return bl, bh
+
+
 @dataclass(frozen=True)
 class CarnotEndpoints:
     """Branch endpoints of a continuum cycle, canonically in reduced units.
@@ -151,7 +160,7 @@ def reversible_work(
     units, so W = (1/beta_h - 1/beta_l)(s(cold_first) - s(cold_last)) and the
     efficiency is the Carnot value; beta_l*Q_l + beta_h*Q_h = 0.
     """
-    bl, bh = _checked_betas(beta_l, beta_h)
+    bl, bh = _matched_betas(beta_l, beta_h)
     w = (1.0 / bh - 1.0 / bl) * (
         _entropy(cold_first, cold_first) - _entropy(cold_last, cold_last)
     )
@@ -162,9 +171,10 @@ def reversible_endpoints(
     beta_l: float, beta_h: float, cold_first: float, cold_last: float
 ) -> CarnotEndpoints:
     """Endpoints with matched branch ends; needs sign(beta_l) = sign(beta_h)."""
+    bl, bh = _matched_betas(beta_l, beta_h)
     return CarnotEndpoints(
-        beta_l=float(beta_l),
-        beta_h=float(beta_h),
+        beta_l=bl,
+        beta_h=bh,
         cold_first=cold_first,
         cold_last=cold_last,
         hot_first=cold_last,
@@ -174,7 +184,7 @@ def reversible_endpoints(
 
 def max_reversible_work(beta_l: float, beta_h: float) -> float:
     """Supremum (1/beta_h - 1/beta_l) * ln 2 of the reversible work."""
-    bl, bh = _checked_betas(beta_l, beta_h)
+    bl, bh = _matched_betas(beta_l, beta_h)
     return (1.0 / bh - 1.0 / bl) * math.log(2.0)
 
 

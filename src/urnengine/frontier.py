@@ -19,11 +19,15 @@ seeded deterministically from valid rejection-sampled points, and among
 objectives within 1e-12 of the best the lowest start index wins, so results
 are reproducible for a given seed.
 
-Finite m evaluates the discrete ring at equilibrium occupancies f(beta*eps);
-``carnot_frontier`` extremizes the continuum cycle over its four reduced
-branch endpoints instead, with endpoint signs pinned to the beta signs.
-Heat pumps are requested with a negative target work; the reported
-figure of merit stays eta = W/(-Q_h), whose inverse is the pump COP.
+Each problem has one evaluator, point(z) -> (W, Q_h).  Finite m takes the
+equilibrium occupancies f(beta*eps) and the ring kernel analytic._ring_heats
+that the region scatter also runs; ``carnot_frontier`` extremizes the
+continuum cycle over its four reduced branch endpoints through
+continuum._branch_heats, with endpoint signs pinned to the beta signs.  The
+regime rule and eta = W/(-Q_h) are applied on top, once, by the objective,
+the start sampler and the final score.  Heat pumps are requested with a
+negative target work; the reported figure of merit stays eta = W/(-Q_h),
+whose inverse is the pump COP.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _efficiency, _equilibrium_weights, _ring_heats
+from .analytic import (_efficiency, _equilibrium_weights, _ring_heats, equilibrium_ring,
+                       mean_heats_ring)
 from .continuum import (CarnotEndpoints, _branch_heats, _checked_betas, continuum_heats,
                         max_reversible_work)
 from .montecarlo import _checked_seed
@@ -122,7 +127,9 @@ def evaluate_configs(
         raise ValueError("ring must hold 2m >= 2 reservoirs")
     if not np.all(np.isfinite(eps)) or np.any(eps <= 0.0):
         raise ValueError("invalid altitude")
-    _, q_high, work = _ring_heats(eps, _equilibrium_weights(beta_l, beta_h, eps))
+    if not (math.isfinite(beta_l) and math.isfinite(beta_h)):
+        raise ValueError("beta must be finite")
+    _, q_high, work = _ring_heats(eps.T, _equilibrium_weights(beta_l, beta_h, eps).T)
     return work, _efficiency(work, q_high), q_high < 0.0
 
 
@@ -163,35 +170,6 @@ def _regime_ok(w: float, q_high: float, pump: bool) -> bool:
     return q_high < 0.0 and w >= 0.0
 
 
-def _ring_point(beta_l: float, beta_h: float, m: int, pump: bool):
-    """Scalar fast path: eps list -> (work, eta, valid).
-
-    A deliberate scalar copy of analytic._ring_heats: one call costs a few
-    microseconds here against tens for a one-row numpy evaluation, and the
-    descent makes hundreds of thousands of calls.
-    """
-    bl = float(beta_l)
-    bh = float(beta_h)
-
-    def point(eps: list[float]) -> tuple[float, float, bool]:
-        f = [occupancy(bl * e) for e in eps[:m]] + [occupancy(bh * e) for e in eps[m:]]
-        q_low = 0.0
-        q_high = 0.0
-        n = 2 * m
-        for k in range(n):
-            q = eps[k] * (f[k - 1] - f[k])
-            if k < m:
-                q_low += q
-            else:
-                q_high += q
-        w = -(q_low + q_high)
-        if not _regime_ok(w, q_high, pump):
-            return w, math.nan, False
-        return w, w / -q_high, True
-
-    return point
-
-
 def _descend(obj, x: list[float], fx: float, step0: float, max_evals: int):
     """Coordinate descent: probe +-step per coordinate, halve step on a full
     sweep without improvement, stop below the step floor or the budget."""
@@ -223,22 +201,22 @@ def _descend(obj, x: list[float], fx: float, step0: float, max_evals: int):
     return x, fx, evals
 
 
-def _solve_start(point, x0: list[float], sign: float, target: float, tol_w: float,
-                 budget: int, step0: float):
-    """One start: penalty loop around coordinate descent.
+def _solve_start(point, pump: bool, x0: list[float], sign: float, target: float,
+                 tol_w: float, budget: int, step0: float):
+    """One start: penalty loop around coordinate descent on sign * eta.
 
-    Returns (x, feasible_by_fast_path, evaluations).  Feasibility is
-    re-verified by the caller through the public evaluators.
+    Returns (x, feasible, evaluations).  Feasibility is re-verified by the
+    caller through the public evaluator.
     """
     lam = _PENALTY_START
     evals = 0
 
     def obj(z: list[float]) -> float:
-        w, eta, ok = point(z)
-        if not ok:
+        w, q_high = point(z)
+        if not _regime_ok(w, q_high, pump):
             return math.inf
         r = w - target
-        return sign * eta + lam * r * r
+        return sign * (w / -q_high) + lam * r * r
 
     x = list(x0)
     fx = obj(x)
@@ -246,9 +224,9 @@ def _solve_start(point, x0: list[float], sign: float, target: float, tol_w: floa
     while True:
         x, fx, used = _descend(obj, x, fx, step0, budget - evals)
         evals += used
-        w, _, ok = point(x)
+        w, q_high = point(x)
         evals += 1
-        if ok and abs(w - target) <= tol_w:
+        if _regime_ok(w, q_high, pump) and abs(w - target) <= tol_w:
             return x, True, evals
         if evals >= budget or lam >= _PENALTY_CAP:
             return x, False, evals
@@ -265,12 +243,13 @@ def _checked_starts(budget: int, starts: int, seed: int) -> int:
 
 
 def _multistart(point, public, ndim: int, extent: float, budget: int, starts: int,
-                seed: int, solve, score):
+                seed: int, pump: bool, solve, score):
     """Run every start and return the winner (x, W, Q_high, start_index, evals).
 
     Each start descends by ``solve(x0, step0, budget) -> (x, ok, evals)`` from a
-    rejection-sampled valid point; ok results, re-evaluated by ``public``, rank by
-    ``score(W, Q_high)``: lower wins, None rejects, ties within _TIE go to the lowest start.
+    rejection-sampled point in the ``pump`` regime; ok results, re-evaluated by
+    ``public``, rank by ``score(W, Q_high)``: lower wins, None rejects, ties
+    within _TIE go to the lowest start.
     """
     children = np.random.SeedSequence(_checked_starts(budget, starts, seed)).spawn(starts)
     total_evals = 0
@@ -280,7 +259,7 @@ def _multistart(point, public, ndim: int, extent: float, budget: int, starts: in
         for _ in range(128):  # rejection-sample a valid initial point
             x0 = (extent * (1.0 - rng.random(ndim))).tolist()
             total_evals += 1
-            if point(x0)[2]:
+            if _regime_ok(*point(x0), pump):
                 break
         else:
             continue
@@ -320,15 +299,19 @@ def _bisect(pred, lo: float, hi: float, width: float = 0.0) -> tuple[float, floa
 
 def _ring_problem(m: int, beta_l: float, beta_h: float, init_extent: float | None):
     """(point, public, ndim, extent, to_config, exact) of an m-sub-reservoir ring;
-    ``point(pump)`` builds the scalar fast path, ``public`` the batched one."""
+    ``point`` takes scalar occupancies, ``public`` the vectorized ones."""
     if m < 1:
         raise ValueError("ring must hold 2m >= 2 reservoirs")
     bl, bh = _checked_betas(beta_l, beta_h)
 
+    def point(eps: list[float]) -> tuple[float, float]:
+        f = [occupancy(bl * e) for e in eps[:m]] + [occupancy(bh * e) for e in eps[m:]]
+        _, q_high, w = _ring_heats(eps, f)
+        return w, q_high
+
     def public(eps: list[float]) -> tuple[float, float]:
-        row = np.array([eps])
-        _, q_high, w = _ring_heats(row, _equilibrium_weights(bl, bh, row))
-        return float(w[0]), float(q_high[0])
+        _, q_high, w = mean_heats_ring(equilibrium_ring(bl, bh, eps[:m], eps[m:]))
+        return w, q_high
 
     def exact(work, target: float, mode: Mode) -> list[float] | None:
         """m=1 engines, 0 < beta_h < beta_l.  At r = eps_l/eps_h, eta = 1 - r and W
@@ -360,7 +343,7 @@ def _ring_problem(m: int, beta_l: float, beta_h: float, init_extent: float | Non
 
     extent = _checked_extent(init_extent, 16.0 / min(abs(bl), abs(bh)))
     exact = exact if m == 1 and (bl < 0.0 < bh or 0.0 < bh < bl) else None
-    return (lambda pump: _ring_point(bl, bh, m, pump)), public, 2 * m, extent, tuple, exact
+    return point, public, 2 * m, extent, tuple, exact
 
 
 def _carnot_problem(beta_l: float, beta_h: float, init_extent: float | None):
@@ -369,15 +352,9 @@ def _carnot_problem(beta_l: float, beta_h: float, init_extent: float | None):
     bl, bh = _checked_betas(beta_l, beta_h)
     sl, sh = math.copysign(1.0, bl), math.copysign(1.0, bh)
 
-    def make_point(pump: bool):
-        def point(u: list[float]) -> tuple[float, float, bool]:
-            q_l, q_h = _branch_heats(bl, bh, sl * u[0], sl * u[1], sh * u[2], sh * u[3])
-            w = -(q_l + q_h)
-            if not _regime_ok(w, q_h, pump):
-                return w, math.nan, False
-            return w, w / -q_h, True
-
-        return point
+    def point(u: list[float]) -> tuple[float, float]:
+        q_l, q_h = _branch_heats(bl, bh, sl * u[0], sl * u[1], sh * u[2], sh * u[3])
+        return -(q_l + q_h), q_h
 
     def to_config(u: list[float]) -> tuple[float, ...]:
         return (sl * u[0], sl * u[1], sh * u[2], sh * u[3])
@@ -398,23 +375,29 @@ def _carnot_problem(beta_l: float, beta_h: float, init_extent: float | None):
         return [l1, _CARNOT_LM, _CARNOT_LM, l1]
 
     exact = exact if bl > 0.0 and bh > 0.0 else None
-    return make_point, public, 4, _checked_extent(init_extent, 20.0), to_config, exact
+    return point, public, 4, _checked_extent(init_extent, 20.0), to_config, exact
+
+
+def _check_targets(targets, tol_w: float) -> None:
+    """Work targets and their tolerance, checked before any start runs."""
+    if not all(math.isfinite(t) for t in targets):
+        raise ValueError("target_work must be finite")
+    if not (math.isfinite(tol_w) and tol_w > 0.0):
+        raise ValueError("tol_w must be finite and positive")
 
 
 def _extremize(problem, target_work: float, mode: Mode, tol_w: float, budget: int,
                starts: int, seed: int) -> FrontierPoint:
     """One builder's problem at fixed work: its exact solver where that applies,
     else the penalty multistart."""
-    make_point, public, ndim, extent, to_config, exact = problem
-    if not (tol_w > 0.0):
-        raise ValueError("tol_w must be positive")
+    point, public, ndim, extent, to_config, exact = problem
+    _check_targets([target_work], tol_w)
     mode = Mode(mode)
     sign = -1.0 if mode is Mode.MAX else 1.0
     pump = target_work < 0.0
-    point = make_point(pump)
 
     def solve(x0: list[float], step0: float, budget: int):
-        return _solve_start(point, x0, sign, target_work, tol_w, budget, step0)
+        return _solve_start(point, pump, x0, sign, target_work, tol_w, budget, step0)
 
     def score(w: float, q_high: float) -> float | None:
         feasible = _regime_ok(w, q_high, pump) and abs(w - target_work) <= tol_w
@@ -433,7 +416,7 @@ def _extremize(problem, target_work: float, mode: Mode, tol_w: float, budget: in
         x = exact(work, target_work, mode)
     if x is None:
         x, w, q_high, start, evals = _multistart(point, public, ndim, extent, budget, starts,
-                                                 seed, solve, score)
+                                                 seed, pump, solve, score)
     else:
         (w, q_high), start = public(x), 0
         if score(w, q_high) is None:
@@ -498,12 +481,11 @@ def max_work(
     optimize_efficiency's multistart from valid engine starts, with a plain
     descent on -W.  Returns (work, config, evaluations), work via the public evaluator.
     """
-    make_point, public, ndim, extent, to_config, _ = _ring_problem(m, beta_l, beta_h, init_extent)
+    point, public, ndim, extent, to_config, _ = _ring_problem(m, beta_l, beta_h, init_extent)
     if beta_h < 0.0:  # f(beta_h*eps) -> 1 as a hot altitude grows, and W with it
         raise ValueError("max_work is unbounded for beta_h < 0")
     if m == 1 and beta_l < 0.0:  # f_l > 1/2 > f_h: the hot side always absorbs
         raise ValueError("no m=1 engine exists for beta_l < 0 < beta_h")
-    point = make_point(False)
 
     def obj(z: list[float]) -> float:
         return -point(z)[0]
@@ -513,7 +495,7 @@ def max_work(
         return x, True, used + 1
 
     x, w, _, _, evals = _multistart(point, public, ndim, extent, budget, starts, seed,
-                                    solve, lambda w, q_high: -w)
+                                    False, solve, lambda w, q_high: -w)
     return w, to_config(x), evals
 
 
@@ -536,6 +518,7 @@ def frontier_curve(
     """
     problem = (_carnot_problem(beta_l, beta_h, init_extent) if m is None
                else _ring_problem(m, beta_l, beta_h, init_extent))
+    _check_targets(targets, tol_w)
     children = np.random.SeedSequence(_checked_seed(seed)).spawn(len(targets))
     return [_extremize(problem, float(target), mode, tol_w, budget, starts,
                        int(child.generate_state(1, np.uint64)[0]))

@@ -55,8 +55,8 @@ _HIST_BINS = 256
 _CODES = 1 << 20  # most draw codes tabulated per run, and the enumeration limit
 
 # statistical-test acceptance threshold; |z| < 4 keeps the false-alarm rate of
-# the whole suite below 0.1%.  Tunable per call in compare_to_analytic.
-DEFAULT_Z_THRESHOLD = 4.0
+# the whole suite below 0.1%.
+_Z_THRESHOLD = 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +87,6 @@ class ComparisonReport:
     z_var: float | None
     tv_distance: float | None
     exact_match: bool | None
-    threshold: float
     passed: bool
 
 
@@ -354,9 +353,7 @@ def exact_work_distribution(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
     return values, probs
 
 
-def compare_to_analytic(
-    stats: EnsembleStats, spec: RingSpec, z_threshold: float = DEFAULT_Z_THRESHOLD
-) -> ComparisonReport:
+def compare_to_analytic(stats: EnsembleStats, spec: RingSpec) -> ComparisonReport:
     """Statistical agreement between an ensemble and the analytic model.
 
     z_mean uses the run's own standard error; z_var uses the exact sampling
@@ -408,7 +405,7 @@ def compare_to_analytic(
 
     passed = True
     for z in (z_mean, z_var):
-        if z is not None and not abs(z) < z_threshold:
+        if z is not None and not abs(z) < _Z_THRESHOLD:
             passed = False
     if exact_match is False:
         passed = False
@@ -419,6 +416,5 @@ def compare_to_analytic(
         z_var=z_var,
         tv_distance=tv,
         exact_match=exact_match,
-        threshold=z_threshold,
         passed=passed,
     )

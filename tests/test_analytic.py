@@ -92,6 +92,27 @@ def test_ring_heats_telescope_to_work():
     assert ws.mean == pytest.approx(w, abs=1e-14)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_ring_heats_same_bits_alone_and_in_a_batch(m):
+    # one kernel serves the optimizer (floats) and the region scatter (columns)
+    rng = np.random.default_rng(m)
+    eps = 8.0 * (1.0 - rng.random((300, 2 * m)))
+    f = rng.random((300, 2 * m))
+    batch = analytic._ring_heats(eps.T, f.T)
+    for i in range(len(eps)):
+        alone = analytic._ring_heats(eps[i].tolist(), f[i].tolist())
+        assert all(type(v) is float for v in alone)
+        assert [v.hex() for v in alone] == [float(b[i]).hex() for b in batch]
+    # against numpy's axis sums: the same bits below 8 terms, where those add
+    # in order too, and rounding-level differences beyond
+    q = eps * (np.roll(f, 1, axis=1) - f)
+    reference = (q[:, :m].sum(axis=1), q[:, m:].sum(axis=1))
+    for got, want in zip(batch, reference):
+        if m < 8:
+            assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 @given(st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=80)
 def test_ring_reduces_to_otto_at_m_equal_one(seed):

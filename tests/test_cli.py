@@ -244,6 +244,21 @@ def test_continuum_subcommands(capsys):
     assert doc["outputs"]["eta"] == pytest.approx(0.997, abs=1e-3)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["continuum", "reversible", "--beta-l", "1", "--beta-h", "-0.5", "--l1", "1", "--lm", "2"],
+     "reversible cycle needs sign(beta_l) = sign(beta_h)"),
+    (["continuum", "wmax", "--beta-l", "1", "--beta-h", "-0.5"],
+     "reversible cycle needs sign(beta_l) = sign(beta_h)"),
+    (["region", "--m", "1", "--beta-l", "nan", "--beta-h", "0.42",
+      "--samples", "10", "--eps-max", "5", "--seed", "1"], "beta must be finite"),
+])
+def test_beta_domain_errors_exit_one(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == message
+
+
 def test_continuum_heats_reduced_and_raw_agree(capsys):
     raw = run_json(["continuum", "heats", "--beta-l", "1.38", "--beta-h", "0.42",
                     "--eps-l1", "1", "--eps-lm", "1.1",
@@ -282,6 +297,9 @@ def test_frontier_rejects_ambiguous_targets(capsys):
     ("carnot", ["--beta-l", "0"], "beta must be finite and nonzero"),
     ("1", ["--beta-l", "nan"], "beta must be finite and nonzero"),
     ("carnot", ["--beta-l", "1.38", "--init-extent", "-1"], "init_extent must be finite and positive"),
+    ("2", ["--beta-l", "1.38", "--target-w", "nan"], "target_work must be finite"),
+    ("carnot", ["--beta-l", "1.38", "--target-w", "inf"], "target_work must be finite"),
+    ("2", ["--beta-l", "1.38", "--tol-w", "inf"], "tol_w must be finite and positive"),
 ])
 def test_frontier_domain_errors_exit_one_with_json(m, flags, message, capsys):
     argv = ["frontier", "--m", m, "--beta-h", "0.42", "--target-w", "0.1",
@@ -467,7 +485,8 @@ def test_frontier_writer_matches_dict_rows(m, fmt, tmp_path, monkeypatch):
     ["analytic", "ring", "--eps", "1,1.5,2.5,2", "--f-mean", "0.2,0.25,0.3,0.35"],
     ["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "20", "--n-h", "30",
      "--N", "100", "--trials", "1000", "--seed", "1"],
-    ["continuum", "reversible", "--beta-l", "1.38", "--beta-h", "-0.42", "--l1", "1", "--lm", "2"],
+    ["continuum", "heats", "--beta-l", "1.38", "--beta-h", "0.42",
+     "--l1", "3", "--lm", "0.5", "--h1", "0.2", "--hm", "1.5"],  # the hot side absorbs: eta is null
 ])
 def test_scalar_csv_matches_dict_row(argv, tmp_path):
     args = cli.build_parser().parse_args(argv)

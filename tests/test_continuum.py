@@ -82,6 +82,18 @@ def test_efficiency_defined_whenever_hot_discharges():
     assert res.efficiency == pytest.approx(res.work / -res.heat_high, rel=1e-15)
 
 
+@pytest.mark.parametrize("beta_l, beta_h", [(1.0, -0.5), (-1.0, 0.5)])
+def test_reversible_cycle_needs_same_sign_betas(beta_l, beta_h):
+    # Hm = L1 and H1 = Lm cannot take beta_h's sign when beta_l's differs
+    message = r"reversible cycle needs sign\(beta_l\) = sign\(beta_h\)"
+    with pytest.raises(ValueError, match=message):
+        continuum.reversible_work(beta_l, beta_h, 1.0, 2.0)
+    with pytest.raises(ValueError, match=message):
+        continuum.max_reversible_work(beta_l, beta_h)
+    with pytest.raises(ValueError, match=message):
+        continuum.reversible_endpoints(beta_l, beta_h, 1.0, 2.0)
+
+
 def test_reversible_work_antisymmetric_under_beta_swap():
     for l1, lm in [(0.5, 2.0), (1.38, 1.518)]:
         w_fwd, _ = continuum.reversible_work(1.38, 0.42, l1, lm)

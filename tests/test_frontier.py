@@ -81,17 +81,18 @@ def test_region_eta_undefined_off_engine():
     assert np.array_equal(sample.efficiency[sample.engine], eta[sample.engine])
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_scalar_fast_path_matches_batched_kernel(m):
-    # the optimizer's scalar objective is a deliberate copy of the ring kernel
-    eps = 8.0 * (1.0 - np.random.default_rng(m).random((300, 2 * m)))
-    work, eta, engine = frontier.evaluate_configs(BL, BH, eps)
-    point = frontier._ring_point(BL, BH, m, pump=False)
-    for i in range(len(eps)):
-        w, e, ok = point(list(eps[i]))
-        assert w == pytest.approx(work[i], rel=1e-12, abs=1e-15)
-        if ok:
-            assert engine[i] and e == pytest.approx(eta[i], rel=1e-12)
+def test_region_rejects_nonfinite_beta_but_not_zero():
+    eps = np.array([[1.0, 2.0], [3.0, 0.5]])
+    for beta_l, beta_h in [(math.nan, BH), (BL, math.inf), (-math.inf, BH)]:
+        with pytest.raises(ValueError, match="beta must be finite"):
+            frontier.evaluate_configs(beta_l, beta_h, eps)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            frontier.sample_region(1, beta_l, beta_h, 10, 5.0, seed=1)
+    # beta = 0 is the infinite-temperature bath, f = 1/2 at every altitude
+    work, _, _ = frontier.evaluate_configs(0.0, BH, eps)
+    f_h = thermo.occupancy_np(BH * eps[:, 1])
+    assert np.array_equal(work, -(eps[:, 0] * (f_h - 0.5) + eps[:, 1] * (0.5 - f_h)))
+    assert frontier.sample_region(1, BL, 0.0, 10, 5.0, seed=1).work.shape == (10,)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -391,6 +392,27 @@ def test_carnot_max_is_the_closed_form(target):
     assert res.work == pt.work and res.efficiency == pt.eta
     assert pt.residual <= 1e-15
     assert pt.evaluations < 1_000 and pt.start_index == 0
+
+
+@pytest.mark.parametrize("target, tol_w, message", [
+    (math.nan, 1e-3, "target_work must be finite"),
+    (math.inf, 1e-3, "target_work must be finite"),
+    (-math.inf, 1e-3, "target_work must be finite"),
+    (0.1, math.inf, "tol_w must be finite and positive"),
+    (0.1, math.nan, "tol_w must be finite and positive"),
+    (0.1, -1e-3, "tol_w must be finite and positive"),
+])
+def test_nonfinite_target_or_tolerance_is_a_domain_error(target, tol_w, message, monkeypatch):
+    _no_search(monkeypatch)
+    for m in (1, 2):
+        with pytest.raises(ValueError, match=message):
+            frontier.optimize_efficiency(m, BL, BH, target, tol_w=tol_w, budget=2_000, starts=2)
+    with pytest.raises(ValueError, match=message):
+        frontier.carnot_frontier(BL, BH, target, tol_w=tol_w, budget=2_000, starts=2)
+    # a curve checks every target before its first solve
+    for m in (2, None):
+        with pytest.raises(ValueError, match=message):
+            frontier.frontier_curve(m, BL, BH, np.array([0.1, target]), tol_w=tol_w)
 
 
 def test_opposite_sign_betas_have_no_m1_engine(monkeypatch):
