@@ -6,86 +6,51 @@ is the work.  This package computes the exact mean/variance of that work, the
 per-reservoir heats, the continuum (Carnot) limit, and the attainable
 efficiency-versus-work region, and validates the closed forms by simulation.
 All quantities are in reduced units with k_B = 1.
+
+Submodules load on first use (PEP 562): ``import urnengine`` loads neither
+numpy nor any submodule, and ``urnengine.occupancy`` or ``urnengine.frontier``
+imports its home module when first read.  _EXPORTS lists every public name
+once, under that home module.
 """
 
-from .thermo import (
-    EntropyValue,
-    InverseTemperature,
-    beta_from_occupancy,
-    carnot_efficiency,
-    entropy_equally_spaced,
-    entropy_s,
-    log_degeneracy,
-    occupancy,
-    occupancy_np,
-)
-from .urn import (
-    CycleOutcome,
-    EngineRing,
-    Group,
-    Reservoir,
-    draw_ball,
-    exchange_step,
-    make_reservoir,
-    otto_ring,
-    two_level_ring,
-)
-from .analytic import (
-    RingSpec,
-    WorkStatistics,
-    efficiency_otto,
-    equilibrium_ring,
-    mean_heats_ring,
-    work_statistics_general,
-    work_statistics_ring,
-)
-from .continuum import (
-    CarnotEndpoints,
-    ContinuumHeats,
-    continuum_heats,
-    discretized_ring,
-    max_reversible_work,
-    otto_endpoints,
-    reversible_endpoints,
-    reversible_work,
-)
-from .montecarlo import (
-    ComparisonReport,
-    EnsembleStats,
-    compare_to_analytic,
-    exact_work_distribution,
-    ring_spec_of,
-    run_ensemble,
-)
-from .frontier import (
-    FrontierPoint,
-    Mode,
-    RegionSample,
-    carnot_frontier,
-    evaluate_configs,
-    frontier_curve,
-    max_work,
-    optimize_efficiency,
-    sample_region,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "EntropyValue", "InverseTemperature", "beta_from_occupancy",
-    "carnot_efficiency", "entropy_equally_spaced", "entropy_s",
-    "log_degeneracy", "occupancy", "occupancy_np",
-    "CycleOutcome", "EngineRing", "Group", "Reservoir", "draw_ball",
-    "exchange_step", "make_reservoir", "otto_ring", "two_level_ring",
-    "RingSpec", "WorkStatistics", "efficiency_otto", "equilibrium_ring",
-    "mean_heats_ring", "work_statistics_general", "work_statistics_ring",
-    "CarnotEndpoints", "ContinuumHeats", "continuum_heats",
-    "discretized_ring", "max_reversible_work", "otto_endpoints",
-    "reversible_endpoints", "reversible_work",
-    "ComparisonReport", "EnsembleStats", "compare_to_analytic",
-    "exact_work_distribution", "ring_spec_of", "run_ensemble",
-    "FrontierPoint", "Mode", "RegionSample", "carnot_frontier",
-    "evaluate_configs", "frontier_curve", "max_work",
-    "optimize_efficiency", "sample_region",
-]
+_EXPORTS = {
+    "thermo": ("EntropyValue", "InverseTemperature", "beta_from_occupancy",
+               "carnot_efficiency", "entropy_equally_spaced", "entropy_s",
+               "log_degeneracy", "occupancy", "occupancy_np"),
+    "urn": ("CycleOutcome", "EngineRing", "Group", "Reservoir", "draw_ball",
+            "exchange_step", "make_reservoir", "otto_ring", "two_level_ring"),
+    "analytic": ("RingSpec", "WorkStatistics", "efficiency_otto", "equilibrium_ring",
+                 "mean_heats_ring", "work_statistics_general", "work_statistics_ring"),
+    "continuum": ("CarnotEndpoints", "ContinuumHeats", "continuum_heats",
+                  "discretized_ring", "max_reversible_work", "otto_endpoints",
+                  "reversible_endpoints", "reversible_work"),
+    "montecarlo": ("ComparisonReport", "EnsembleStats", "compare_to_analytic",
+                   "exact_work_distribution", "ring_spec_of", "run_ensemble"),
+    "frontier": ("FrontierPoint", "Mode", "RegionSample", "carnot_frontier",
+                 "evaluate_configs", "frontier_curve", "max_work",
+                 "optimize_efficiency", "sample_region"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    """Import a submodule, or a public name's home module, on first access
+    and cache the value in the package namespace."""
+    if name in _EXPORTS:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

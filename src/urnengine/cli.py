@@ -23,12 +23,12 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
-from . import analytic, continuum, frontier, montecarlo, thermo, urn
+
+if TYPE_CHECKING:  # each handler imports the modules it runs
+    from . import continuum
 
 __all__ = ["main", "build_parser"]
 
@@ -61,8 +61,9 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
 
 
-def _grid(text: str) -> np.ndarray:
+def _grid(text: str) -> list[float]:
     """Parse start:stop:count into an inclusive linear grid."""
+    import numpy as np
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be start:stop:count, got {text!r}")
@@ -72,7 +73,7 @@ def _grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid must be start:stop:count, got {text!r}") from exc
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
-    return np.linspace(start, stop, count)
+    return np.linspace(start, stop, count).tolist()
 
 
 def _ring_m(text: str) -> int | None:
@@ -87,10 +88,8 @@ def _ring_m(text: str) -> int | None:
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
+    if hasattr(value, "tolist"):  # numpy scalars and arrays
+        value = value.tolist()
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -174,6 +173,7 @@ def _scalar_result(inputs: dict[str, Any], outputs: dict[str, Any], seed: int | 
 
 
 def _handle_analytic_otto(args: argparse.Namespace) -> CommandResult:
+    from . import analytic, thermo
     inputs = {
         "eps_l": args.eps_l, "eps_h": args.eps_h, "N": args.N,
         "n_l": args.n_l, "n_h": args.n_h,
@@ -203,12 +203,9 @@ def _handle_analytic_otto(args: argparse.Namespace) -> CommandResult:
 
 
 def _handle_analytic_ring(args: argparse.Namespace) -> CommandResult:
+    from . import analytic
     inputs = {"eps": args.eps, "f_mean": args.f_mean, "f": args.f}
-    spec = analytic.RingSpec(
-        altitudes=np.array(args.eps),
-        mean_weights=np.array(args.f_mean),
-        bernoulli_f=np.array(args.f) if args.f is not None else None,
-    )
+    spec = analytic.RingSpec(altitudes=args.eps, mean_weights=args.f_mean, bernoulli_f=args.f)
     q_low, q_high, w = analytic.mean_heats_ring(spec)
     outputs: dict[str, Any] = {"Q_low": q_low, "Q_high": q_high, "W": w}
     if args.f is not None:
@@ -218,18 +215,16 @@ def _handle_analytic_ring(args: argparse.Namespace) -> CommandResult:
 
 
 def _handle_analytic_variance(args: argparse.Namespace) -> CommandResult:
+    from . import analytic
     inputs = {"eps": args.eps, "f": args.f}
-    spec = analytic.RingSpec(
-        altitudes=np.array(args.eps),
-        mean_weights=np.array(args.f),
-        bernoulli_f=np.array(args.f),
-    )
+    spec = analytic.RingSpec(altitudes=args.eps, mean_weights=args.f, bernoulli_f=args.f)
     stats = analytic.work_statistics_ring(spec)
     outputs = {"mean_W": stats.mean, "var_W": stats.variance, "ratio": stats.ratio}
     return _scalar_result(inputs, outputs)
 
 
 def _handle_thermo_beta(args: argparse.Namespace) -> CommandResult:
+    from . import thermo
     inputs = {"n": args.n, "N": args.N, "eps": args.eps}
     beta = thermo.beta_from_occupancy(args.n, args.N, args.eps)
     outputs = {"beta": beta.beta, "temperature": beta.temperature}
@@ -237,12 +232,14 @@ def _handle_thermo_beta(args: argparse.Namespace) -> CommandResult:
 
 
 def _handle_thermo_occupancy(args: argparse.Namespace) -> CommandResult:
+    from . import thermo
     inputs = {"x": args.x}
     outputs = {"f": thermo.occupancy(args.x)}
     return _scalar_result(inputs, outputs)
 
 
 def _handle_thermo_entropy(args: argparse.Namespace) -> CommandResult:
+    from . import thermo
     inputs = {"x": args.x, "y": args.y, "levels": args.levels}
     if args.levels is not None:
         if args.y is not None:
@@ -254,12 +251,14 @@ def _handle_thermo_entropy(args: argparse.Namespace) -> CommandResult:
 
 
 def _handle_thermo_degeneracy(args: argparse.Namespace) -> CommandResult:
+    from . import thermo
     inputs = {"N": args.N, "n": args.n}
     outputs = {"log_degeneracy": thermo.log_degeneracy(args.N, args.n)}
     return _scalar_result(inputs, outputs)
 
 
 def _handle_simulate(args: argparse.Namespace) -> CommandResult:
+    from . import montecarlo, urn
     if args.eps is not None or args.n is not None:
         if args.eps is None or args.n is None:
             raise ValueError("ring mode needs both --eps and --n")
@@ -297,6 +296,7 @@ def _handle_simulate(args: argparse.Namespace) -> CommandResult:
 
 
 def _continuum_endpoints(args: argparse.Namespace) -> continuum.CarnotEndpoints:
+    from . import continuum
     reduced = (args.l1, args.lm, args.h1, args.hm)
     raw = (args.eps_l1, args.eps_lm, args.eps_h1, args.eps_hm)
     if all(v is not None for v in reduced):
@@ -313,6 +313,7 @@ def _continuum_endpoints(args: argparse.Namespace) -> continuum.CarnotEndpoints:
 
 
 def _handle_continuum_heats(args: argparse.Namespace) -> CommandResult:
+    from . import continuum
     ep = _continuum_endpoints(args)
     inputs = {
         "beta_l": args.beta_l, "beta_h": args.beta_h,
@@ -326,6 +327,7 @@ def _handle_continuum_heats(args: argparse.Namespace) -> CommandResult:
 
 
 def _handle_continuum_reversible(args: argparse.Namespace) -> CommandResult:
+    from . import continuum
     if args.l1 is not None and args.lm is not None:
         l1, lm = args.l1, args.lm
     elif args.eps_l1 is not None and args.eps_lm is not None:
@@ -333,14 +335,16 @@ def _handle_continuum_reversible(args: argparse.Namespace) -> CommandResult:
     else:
         raise ValueError("need --l1/--lm or --eps-l1/--eps-lm")
     inputs = {"beta_l": args.beta_l, "beta_h": args.beta_h, "L1": l1, "Lm": lm}
-    w, eta = continuum.reversible_work(args.beta_l, args.beta_h, l1, lm)
+    # the endpoints validate L1 and Lm, so they come first
     res = continuum.continuum_heats(continuum.reversible_endpoints(args.beta_l, args.beta_h, l1, lm))
+    w, eta = continuum.reversible_work(args.beta_l, args.beta_h, l1, lm)
     outputs = {"W": w, "eta": eta,
                "identity_residual": args.beta_l * res.heat_low + args.beta_h * res.heat_high}
     return _scalar_result(inputs, outputs)
 
 
 def _handle_continuum_wmax(args: argparse.Namespace) -> CommandResult:
+    from . import continuum
     inputs = {"beta_l": args.beta_l, "beta_h": args.beta_h}
     outputs = {"W_max": continuum.max_reversible_work(args.beta_l, args.beta_h)}
     return _scalar_result(inputs, outputs)
@@ -353,19 +357,23 @@ _FRONTIER_COLUMNS = [
 
 
 def _handle_frontier(args: argparse.Namespace) -> CommandResult:
+    from . import frontier
     if (args.target_w is None) == (args.w_grid is None):
         raise ValueError("need exactly one of --target-w or --w-grid")
-    targets = np.array([args.target_w]) if args.target_w is not None else args.w_grid
+    targets = [args.target_w] if args.target_w is not None else args.w_grid
+    tol_w = frontier.DEFAULT_TOL_W if args.tol_w is None else args.tol_w
+    budget = frontier.DEFAULT_BUDGET if args.budget is None else args.budget
+    starts = frontier.DEFAULT_STARTS if args.starts is None else args.starts
     inputs = {
         "m": "carnot" if args.m is None else args.m,
         "beta_l": args.beta_l, "beta_h": args.beta_h,
         "mode": args.mode, "target_W": [float(t) for t in targets],
-        "tol_w": args.tol_w, "budget": args.budget, "starts": args.starts,
+        "tol_w": tol_w, "budget": budget, "starts": starts,
         "seed": args.seed, "init_extent": args.init_extent,
     }
     points = frontier.frontier_curve(
         args.m, args.beta_l, args.beta_h, targets, frontier.Mode(args.mode),
-        args.tol_w, args.budget, args.starts, args.seed, args.init_extent,
+        tol_w, budget, starts, args.seed, args.init_extent,
     )
     fields = ("target_work", "work", "eta", "residual", "evaluations", "start_index", "config")
     cells = [[v] * len(points) for v in (inputs["m"], args.beta_l, args.beta_h, args.mode)]
@@ -378,6 +386,7 @@ _REGION_COLUMNS = ["W", "eta", "engine", "config"]
 
 
 def _handle_region(args: argparse.Namespace) -> CommandResult:
+    from . import frontier
     inputs = {
         "m": args.m, "beta_l": args.beta_l, "beta_h": args.beta_h,
         "samples": args.samples, "eps_max": args.eps_max, "seed": args.seed,
@@ -513,9 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-w", type=float, default=None)
     p.add_argument("--w-grid", type=_grid, default=None, help="start:stop:count")
     p.add_argument("--mode", choices=("max", "min"), default="max")
-    p.add_argument("--tol-w", type=float, default=frontier.DEFAULT_TOL_W)
-    p.add_argument("--budget", type=int, default=frontier.DEFAULT_BUDGET)
-    p.add_argument("--starts", type=int, default=frontier.DEFAULT_STARTS)
+    p.add_argument("--tol-w", type=float, default=None)
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--starts", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init-extent", type=float, default=None)
     _add_output_flags(p)

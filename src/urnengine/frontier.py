@@ -386,12 +386,21 @@ def _check_targets(targets, tol_w: float) -> None:
         raise ValueError("tol_w must be finite and positive")
 
 
+def _check_pump_max(m: int | None, beta_l: float, beta_h: float, targets, mode: Mode) -> None:
+    """MAX-mode pump targets of an m >= 2 ring with positive betas have no maximum:
+    work can go into the cold side while the hot sub-reservoirs' heats cancel, so
+    eta = W/(-Q_h) grows without bound as Q_h -> 0+ at fixed W < 0."""
+    if (m is not None and m >= 2 and Mode(mode) is Mode.MAX and beta_l > 0.0
+            and beta_h > 0.0 and any(t < 0.0 for t in targets)):
+        raise ValueError("no maximum efficiency for heat-pump targets (W < 0) at m >= 2 "
+                         "with positive betas: eta = W/(-Q_h) is unbounded; use mode min")
+
+
 def _extremize(problem, target_work: float, mode: Mode, tol_w: float, budget: int,
                starts: int, seed: int) -> FrontierPoint:
-    """One builder's problem at fixed work: its exact solver where that applies,
-    else the penalty multistart."""
+    """One builder's problem at fixed work, its targets already checked: its exact
+    solver where that applies, else the penalty multistart."""
     point, public, ndim, extent, to_config, exact = problem
-    _check_targets([target_work], tol_w)
     mode = Mode(mode)
     sign = -1.0 if mode is Mode.MAX else 1.0
     pump = target_work < 0.0
@@ -441,10 +450,13 @@ def optimize_efficiency(
     """Extremal efficiency of an m-sub-reservoir ring at fixed work.
 
     Raises "infeasible or budget too small" when no start reaches the work
-    constraint within tolerance.
+    constraint within tolerance, and a domain error for a MAX pump target at
+    m >= 2 with positive betas, where no maximum exists.
     """
-    return _extremize(_ring_problem(m, beta_l, beta_h, init_extent), target_work,
-                      mode, tol_w, budget, starts, seed)
+    problem = _ring_problem(m, beta_l, beta_h, init_extent)
+    _check_targets([target_work], tol_w)
+    _check_pump_max(m, beta_l, beta_h, [target_work], mode)
+    return _extremize(problem, target_work, mode, tol_w, budget, starts, seed)
 
 
 def carnot_frontier(
@@ -464,8 +476,9 @@ def carnot_frontier(
     returned config is the signed endpoints (cold_first, cold_last,
     hot_first, hot_last).
     """
-    return _extremize(_carnot_problem(beta_l, beta_h, init_extent), target_work,
-                      mode, tol_w, budget, starts, seed)
+    problem = _carnot_problem(beta_l, beta_h, init_extent)
+    _check_targets([target_work], tol_w)
+    return _extremize(problem, target_work, mode, tol_w, budget, starts, seed)
 
 
 def max_work(
@@ -514,11 +527,14 @@ def frontier_curve(
     """Frontier points over a grid of work targets.
 
     ``m=None`` means the continuum cycle.  Each target gets its own
-    deterministic child seed, so the curve is reproducible as a whole.
+    deterministic child seed, so the curve is reproducible as a whole.  Every
+    target is checked, including optimize_efficiency's pump domain error,
+    before the first solve.
     """
     problem = (_carnot_problem(beta_l, beta_h, init_extent) if m is None
                else _ring_problem(m, beta_l, beta_h, init_extent))
     _check_targets(targets, tol_w)
+    _check_pump_max(m, beta_l, beta_h, targets, mode)
     children = np.random.SeedSequence(_checked_seed(seed)).spawn(len(targets))
     return [_extremize(problem, float(target), mode, tol_w, budget, starts,
                        int(child.generate_state(1, np.uint64)[0]))

@@ -81,11 +81,13 @@ class EntropyValue:
 def occupancy(x: float) -> float:
     """Excited fraction f(x) = 1/(exp(x) + 1), stable over the whole real line.
 
-    Accepts +-inf as limits: f(+inf) = 0, f(-inf) = 1.
+    Accepts +-inf as limits: f(+inf) = 0, f(-inf) = 1; NaN is a domain error.
     """
     if x >= 0.0:
         e = math.exp(-x)
         return e / (1.0 + e)
+    if math.isnan(x):  # NaN fails x >= 0 and lands here
+        raise ValueError("occupancy argument must not be NaN")
     return 1.0 / (math.exp(x) + 1.0)
 
 

@@ -214,3 +214,23 @@ def test_general_variance_reduces_to_bernoulli(seed):
     ws_g = analytic.work_statistics_general(eps, f, f * (1.0 - f))
     assert ws_g.mean == pytest.approx(ws_b.mean, abs=1e-14)
     assert ws_g.variance == pytest.approx(ws_b.variance, abs=1e-14)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("beta_l, beta_h", [(1.38, 0.42), (-0.5, -1.0), (1.0, -0.5), (-1.0, 0.5)])
+def test_integral_fluctuation_relation_by_enumeration(m, beta_l, beta_h):
+    # <exp(-sigma)> = 1 with sigma = sum_k beta_k Q_k, Q_k = eps_k (w_{k-1} - w_k):
+    # averaging over draw k leaves (1 - f_k)(1 + e^{-x_{k+1}}), and the product
+    # telescopes to 1 since (1 - f_k)(1 + e^{-x_k}) = 1
+    rng = np.random.default_rng(100 * m + 7)
+    eps = rng.uniform(0.1, 3.0, 2 * m)
+    spec = analytic.equilibrium_ring(beta_l, beta_h, eps[:m], eps[m:])
+    f = spec.bernoulli_f
+    beta = np.repeat([beta_l, beta_h], m)
+    w = (np.arange(2 ** (2 * m))[:, None] >> np.arange(2 * m)) & 1  # every draw outcome
+    p = np.prod(np.where(w == 1, f, 1.0 - f), axis=1)
+    q = spec.altitudes * (np.roll(w, 1, axis=1) - w)
+    q_low, q_high, _ = analytic.mean_heats_ring(spec)
+    assert p @ q[:, :m].sum(axis=1) == pytest.approx(q_low, abs=1e-12)
+    assert p @ q[:, m:].sum(axis=1) == pytest.approx(q_high, abs=1e-12)
+    assert abs(p @ np.exp(-(q @ beta)) - 1.0) <= 1e-12

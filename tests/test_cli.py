@@ -300,10 +300,35 @@ def test_frontier_rejects_ambiguous_targets(capsys):
     ("2", ["--beta-l", "1.38", "--target-w", "nan"], "target_work must be finite"),
     ("carnot", ["--beta-l", "1.38", "--target-w", "inf"], "target_work must be finite"),
     ("2", ["--beta-l", "1.38", "--tol-w", "inf"], "tol_w must be finite and positive"),
+    ("2", ["--beta-l", "1.38", "--target-w", "-0.05"],
+     "no maximum efficiency for heat-pump targets (W < 0) at m >= 2 with positive betas: "
+     "eta = W/(-Q_h) is unbounded; use mode min"),
 ])
 def test_frontier_domain_errors_exit_one_with_json(m, flags, message, capsys):
     argv = ["frontier", "--m", m, "--beta-h", "0.42", "--target-w", "0.1",
             "--budget", "1000", "--starts", "2", *flags]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == message
+
+
+def test_frontier_echoes_the_optimizer_defaults(capsys, monkeypatch):
+    # unset --tol-w/--budget/--starts are filled in from frontier's constants
+    monkeypatch.setattr(fr, "frontier_curve", lambda *args: [])
+    doc = run_json(["frontier", "--m", "2", "--beta-l", "1.38", "--beta-h", "0.42",
+                    "--target-w", "0.1"], capsys)
+    assert (doc["inputs"]["tol_w"], doc["inputs"]["budget"], doc["inputs"]["starts"]) == (
+        fr.DEFAULT_TOL_W, fr.DEFAULT_BUDGET, fr.DEFAULT_STARTS)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["thermo", "occupancy", "--x", "nan"], "occupancy argument must not be NaN"),
+    # the endpoint check names the flag before any occupancy sees the NaN
+    (["continuum", "reversible", "--beta-l", "1", "--beta-h", "0.5", "--l1", "nan", "--lm", "2"],
+     "invalid reduced endpoint cold_first: altitude must be positive"),
+])
+def test_nan_inputs_exit_one(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""

@@ -423,3 +423,47 @@ def test_opposite_sign_betas_have_no_m1_engine(monkeypatch):
             frontier.optimize_efficiency(1, -1.0, 0.5, target)
     with pytest.raises(ValueError, match="no m=1 engine exists for beta_l < 0 < beta_h"):
         frontier.max_work(1, -1.0, 0.5)
+
+
+# ------------------------------------------------------- MAX-mode heat pumps at m >= 2
+
+PUMP_BETAS = [(1.38, 0.42), (0.5, 0.2), (2.0, 1.9), (1.0, 3.0)]
+
+
+@pytest.mark.parametrize("beta_l, beta_h", PUMP_BETAS)
+def test_m2_pump_efficiency_has_no_maximum(beta_l, beta_h):
+    # equal hot altitudes e and beta_l eps_1 just below beta_h e leave the hot side
+    # a heat Q_h -> 0+, while eps_0 is bisected so the cold side takes W = -0.05
+    rng = np.random.default_rng(11)
+    e = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
+    eps_1 = beta_h * e / beta_l * (1.0 - 1e-8)
+
+    def heats(eps_0):
+        return analytic.mean_heats_ring(analytic.equilibrium_ring(beta_l, beta_h, [eps_0, eps_1], [e, e]))
+
+    lo, hi = eps_1, 2.0 * eps_1 + 100.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if heats(mid)[2] > -0.05 else (lo, mid)
+    _, q_high, w = heats(hi)
+    assert abs(w + 0.05) <= frontier.DEFAULT_TOL_W
+    assert q_high > 0.0
+    assert w / -q_high > 1e6
+
+
+PUMP_MESSAGE = "no maximum efficiency for heat-pump targets"
+
+
+def test_m2_max_pump_is_a_domain_error_before_any_start(monkeypatch):
+    _no_search(monkeypatch)
+    for beta_l, beta_h in PUMP_BETAS:
+        with pytest.raises(ValueError, match=PUMP_MESSAGE):
+            frontier.optimize_efficiency(2, beta_l, beta_h, -0.05)
+    # a curve rejects the whole grid before solving its engine targets
+    with pytest.raises(ValueError, match=PUMP_MESSAGE):
+        frontier.frontier_curve(3, BL, BH, np.array([0.1, -0.05]))
+    # min mode, m=1 and other beta signs keep the search
+    for m, beta_l, beta_h, mode in [(2, BL, BH, "min"), (1, BL, BH, "max"),
+                                    (2, -0.5, -1.0, "max"), (2, 1.0, -0.5, "max")]:
+        with pytest.raises(AssertionError, match="the multistart search ran"):
+            frontier.optimize_efficiency(m, beta_l, beta_h, -0.05, mode)

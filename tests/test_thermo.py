@@ -20,6 +20,11 @@ def test_occupancy_known_values():
     assert thermo.occupancy(float("-inf")) == 1.0
 
 
+def test_nan_occupancy_is_a_domain_error():
+    with pytest.raises(ValueError, match="occupancy argument must not be NaN"):
+        thermo.occupancy(math.nan)
+
+
 def test_occupancy_extreme_arguments_do_not_overflow():
     assert thermo.occupancy(800.0) == 0.0
     assert thermo.occupancy(-800.0) == 1.0
