@@ -132,12 +132,11 @@ def _ring_heats(eps, f):
     return q_low, q_high, -(q_low + q_high)
 
 
-def _efficiency(work, q_high):
-    """eta = W/(-Q_h) where the hot side discharges (Q_h < 0), NaN elsewhere.
-
-    Works on floats and elementwise on arrays; NaN divides without raising.
-    """
-    return np.where(q_high < 0.0, work, np.nan) / -q_high
+def _checked_seed(seed: int) -> int:
+    """The seed itself, if it is a 64-bit key; a domain error otherwise."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must be in [0, 2**64)")
+    return seed
 
 
 def _equilibrium_weights(beta_l: float, beta_h: float, eps: np.ndarray) -> np.ndarray:

@@ -335,7 +335,6 @@ def _handle_continuum_reversible(args: argparse.Namespace) -> CommandResult:
     else:
         raise ValueError("need --l1/--lm or --eps-l1/--eps-lm")
     inputs = {"beta_l": args.beta_l, "beta_h": args.beta_h, "L1": l1, "Lm": lm}
-    # the endpoints validate L1 and Lm, so they come first
     res = continuum.continuum_heats(continuum.reversible_endpoints(args.beta_l, args.beta_h, l1, lm))
     w, eta = continuum.reversible_work(args.beta_l, args.beta_h, l1, lm)
     outputs = {"W": w, "eta": eta,

@@ -21,17 +21,22 @@ approached as L1 -> 0 and |Lm| -> inf.
 
 Collapsing each branch to a single gap (L1 = Lm, H1 = Hm) recovers the
 two-reservoir Otto work, see ``otto_endpoints``.
+
+Everything here is scalar arithmetic and loads no numpy; only
+``discretized_ring``, which builds a finite ring, imports numpy and
+``analytic`` when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .thermo import _efficiency, _entropy, carnot_efficiency
 
-from .analytic import RingSpec, _efficiency, equilibrium_ring
-from .thermo import _entropy, carnot_efficiency
+if TYPE_CHECKING:
+    from .analytic import RingSpec
 
 __all__ = [
     "CarnotEndpoints",
@@ -158,13 +163,14 @@ def reversible_work(
 
     Matching means hot_last = cold_first and hot_first = cold_last in reduced
     units, so W = (1/beta_h - 1/beta_l)(s(cold_first) - s(cold_last)) and the
-    efficiency is the Carnot value; beta_l*Q_l + beta_h*Q_h = 0.
+    efficiency is the Carnot value; beta_l*Q_l + beta_h*Q_h = 0.  The
+    endpoints are validated as ``reversible_endpoints`` validates them.
     """
-    bl, bh = _matched_betas(beta_l, beta_h)
-    w = (1.0 / bh - 1.0 / bl) * (
-        _entropy(cold_first, cold_first) - _entropy(cold_last, cold_last)
+    ep = reversible_endpoints(beta_l, beta_h, cold_first, cold_last)
+    w = (1.0 / ep.beta_h - 1.0 / ep.beta_l) * (
+        _entropy(ep.cold_first, ep.cold_first) - _entropy(ep.cold_last, ep.cold_last)
     )
-    return w, carnot_efficiency(bl, bh)
+    return w, carnot_efficiency(ep.beta_l, ep.beta_h)
 
 
 def reversible_endpoints(
@@ -200,6 +206,9 @@ def discretized_ring(ep: CarnotEndpoints, m: int) -> RingSpec:
     altitudes; mean_heats_ring on the result converges to continuum_heats at
     rate O(1/m).
     """
+    import numpy as np
+
+    from .analytic import equilibrium_ring
     if m < 1:
         raise ValueError("ring must hold 2m >= 2 reservoirs")
     lo_a, lo_b = ep.cold_altitudes

@@ -38,12 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (_efficiency, _equilibrium_weights, _ring_heats, equilibrium_ring,
+from .analytic import (_checked_seed, _equilibrium_weights, _ring_heats, equilibrium_ring,
                        mean_heats_ring)
 from .continuum import (CarnotEndpoints, _branch_heats, _checked_betas, continuum_heats,
                         max_reversible_work)
-from .montecarlo import _checked_seed
-from .thermo import occupancy
+from .thermo import _efficiency, occupancy
 
 __all__ = [
     "Mode",
@@ -164,7 +163,7 @@ def _regime_ok(w: float, q_high: float, pump: bool) -> bool:
     """Optimizer feasibility: engines draw heat from the hot side and deliver
     work; pumps invert both.  A feasible point reports eta = W/(-Q_h) in
     either regime, so a pump's eta (the inverse of its COP) is the one
-    deliberate exception to analytic._efficiency's rule."""
+    deliberate exception to thermo._efficiency's rule."""
     if pump:
         return q_high > 0.0 and w <= 0.0
     return q_high < 0.0 and w >= 0.0

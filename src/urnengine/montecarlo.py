@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import RingSpec, mean_heats_ring, work_statistics_ring
+from .analytic import RingSpec, _checked_seed, mean_heats_ring, work_statistics_ring
 from .urn import EngineRing
 
 __all__ = [
@@ -133,13 +133,6 @@ class _Partial:
 def _partial(work: np.ndarray, mean_heats: np.ndarray, hist, violations: int = 0) -> _Partial:
     mean = float(work.mean())
     return _Partial(len(work), mean, float(np.sum((work - mean) ** 2)), mean_heats, hist, violations)
-
-
-def _checked_seed(seed: int) -> int:
-    """The seed itself, if it is a 64-bit key; a domain error otherwise."""
-    if not 0 <= seed < _WORD:
-        raise ValueError("seed must be in [0, 2**64)")
-    return seed
 
 
 def _ball_indices(tables: _Tables, key: int, lo: int, hi: int) -> np.ndarray:

@@ -17,14 +17,20 @@ the per-system entropy of a two-level population whose gap is x while its
 occupancy is held at f(y); s(x) means s(x, x).  The integration constant is
 chosen so s -> 0 as x -> +inf; any other choice cancels in all observable
 differences.
+
+Every function here is scalar arithmetic on Python floats and loads no numpy;
+only the array forms (``occupancy_np`` and the array branch of
+``_efficiency``) import it, when first called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "InverseTemperature",
@@ -41,6 +47,7 @@ __all__ = [
 
 # comb() stays exact below this; above it log-gamma avoids bignum blowup
 _EXACT_COMB_LIMIT = 10_000
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,7 @@ def occupancy(x: float) -> float:
 
 def occupancy_np(x: np.ndarray) -> np.ndarray:
     """Vectorized occupancy with the same branch structure as the scalar form."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     pos = x >= 0
@@ -130,23 +138,46 @@ def entropy_s(x: float, y: float | None = None) -> EntropyValue:
     return EntropyValue(_entropy(x, y))
 
 
+def _log1mexp(t: float) -> float:
+    """ln(1 - exp(-t)) for t > 0, accurate on both sides of t = ln 2."""
+    return math.log(-math.expm1(-t)) if t <= _LN2 else math.log1p(-math.exp(-t))
+
+
+def _g(t: float) -> float:
+    """t*exp(-t)/(1 - exp(-t)) = t/(exp(t) - 1) for t >= 0, with g(0) = 1;
+    it underflows to 0 instead of overflowing."""
+    if t == 0.0:
+        return 1.0
+    e = math.exp(-t)
+    return t * e / -math.expm1(-t) if e > 0.0 else 0.0
+
+
 def entropy_equally_spaced(x: float, levels: int) -> float:
     """Gibbs entropy of ``levels`` equally spaced states at reduced gap x.
 
-    s = ln Z + x*<k> with Z = sum_{k=0}^{levels-1} exp(-k x).  Even in x
-    (relabeling k -> levels-1-k flips the sign), maximal at x = 0 where it
-    equals ln(levels); reduces to entropy_s(x, x) at levels = 2.
+    s = ln Z + x*<k> with Z = sum_{k=0}^{L-1} exp(-k x), L = ``levels``.  Even
+    in x (relabeling k -> L-1-k flips the sign), maximal at x = 0 where it
+    equals ln L; reduces to entropy_s(x, x) at L = 2.  Summing the geometric
+    series gives the closed forms
+
+        ln Z   = ln(1 - exp(-L x)) - ln(1 - exp(-x))
+        x <k>  = g(x) - g(L x),      g(t) = t / (exp(t) - 1),
+
+    so the cost does not grow with L.
     """
     if levels < 2:
         raise ValueError("levels must be >= 2")
     if not math.isfinite(x):
         raise ValueError("reduced gap must be finite")
+    try:
+        n = float(levels)
+    except OverflowError:
+        raise ValueError("levels too large for a float") from None
     x = abs(x)
-    k = np.arange(levels, dtype=float)
-    t = -k * x
-    log_z = float(np.logaddexp.reduce(t))
-    p = np.exp(t - log_z)
-    return log_z + x * float(p @ k)
+    if x == 0.0:
+        return math.log(n)
+    lx = n * x
+    return (_log1mexp(lx) - _log1mexp(x)) + (_g(x) - _g(lx))
 
 
 def beta_from_occupancy(n: int, N: int, eps: float) -> InverseTemperature:
@@ -184,3 +215,15 @@ def carnot_efficiency(beta_l: InverseTemperature | float, beta_h: InverseTempera
     if bl == 0.0:
         raise ValueError("infinite cold temperature")
     return min(1.0, 1.0 - bh / bl)
+
+
+def _efficiency(work, q_high):
+    """eta = W/(-Q_h) where the hot side discharges (Q_h < 0), NaN elsewhere.
+
+    A float Q_h takes plain arithmetic; arrays apply the rule elementwise, and
+    NaN divides without raising.  Both branches give the same bits.
+    """
+    if isinstance(q_high, float):
+        return work / -q_high if q_high < 0.0 else math.nan
+    import numpy as np
+    return np.where(q_high < 0.0, work, np.nan) / -q_high

@@ -140,6 +140,8 @@ def test_thermo_subcommands(capsys):
     assert doc["outputs"]["s"] == pytest.approx(0.6931471805599453, abs=1e-15)
     doc = run_json(["thermo", "entropy", "--x", "0", "--levels", "3"], capsys)
     assert doc["outputs"]["s"] == pytest.approx(1.0986122886681098, abs=1e-12)
+    doc = run_json(["thermo", "entropy", "--x", "0.5", "--levels", "1000000000000"], capsys)
+    assert doc["outputs"]["s"] == pytest.approx(-math.log1p(-math.exp(-0.5)) + 0.5 / math.expm1(0.5))
     doc = run_json(["thermo", "degeneracy", "--N", "3", "--n", "1"], capsys)
     assert doc["outputs"]["log_degeneracy"] == pytest.approx(1.0986122886681098, abs=1e-15)
 
@@ -324,6 +326,7 @@ def test_frontier_echoes_the_optimizer_defaults(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, message", [
     (["thermo", "occupancy", "--x", "nan"], "occupancy argument must not be NaN"),
+    (["thermo", "entropy", "--x", "0.5", "--levels", "1" + "0" * 400], "levels too large for a float"),
     # the endpoint check names the flag before any occupancy sees the NaN
     (["continuum", "reversible", "--beta-l", "1", "--beta-h", "0.5", "--l1", "nan", "--lm", "2"],
      "invalid reduced endpoint cold_first: altitude must be positive"),

@@ -94,6 +94,15 @@ def test_reversible_cycle_needs_same_sign_betas(beta_l, beta_h):
         continuum.reversible_endpoints(beta_l, beta_h, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("cold_first", [-1.0, 0.0, math.inf])
+def test_reversible_work_validates_endpoints(cold_first):
+    message = "invalid reduced endpoint cold_first: altitude must be positive"
+    with pytest.raises(ValueError, match=message):
+        continuum.reversible_work(1.0, 0.5, cold_first, 2.0)
+    with pytest.raises(ValueError, match=message):
+        continuum.reversible_endpoints(1.0, 0.5, cold_first, 2.0)
+
+
 def test_reversible_work_antisymmetric_under_beta_swap():
     for l1, lm in [(0.5, 2.0), (1.38, 1.518)]:
         w_fwd, _ = continuum.reversible_work(1.38, 0.42, l1, lm)

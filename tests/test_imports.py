@@ -29,9 +29,45 @@ def test_importing_the_cli_loads_no_submodule_and_no_numpy():
     assert _loaded_after("import urnengine.cli") == ["urnengine.cli"]
 
 
+# commands whose closed forms are scalar arithmetic, with the modules they load
+SCALAR_COMMANDS = [
+    (["thermo", "beta", "--n", "3", "--N", "10", "--eps", "1"], ["thermo"]),
+    (["thermo", "occupancy", "--x", "0.5"], ["thermo"]),
+    (["thermo", "degeneracy", "--N", "20000", "--n", "7"], ["thermo"]),
+    (["thermo", "entropy", "--x", "1.2", "--y", "0.7"], ["thermo"]),
+    (["thermo", "entropy", "--x", "0.5", "--levels", "1000000000000"], ["thermo"]),
+    (["continuum", "heats", "--beta-l", "1.38", "--beta-h", "0.42",
+      "--l1", "1.38", "--lm", "1.518", "--h1", "1.512", "--hm", "1.386"], ["continuum", "thermo"]),
+    (["continuum", "reversible", "--beta-l", "1.38", "--beta-h", "0.42",
+      "--l1", "1.38", "--lm", "1.518"], ["continuum", "thermo"]),
+    (["continuum", "wmax", "--beta-l", "1.38", "--beta-h", "0.42"], ["continuum", "thermo"]),
+]
+
+
 def test_thermo_beta_loads_only_thermo():
     assert _after_main(["thermo", "beta", "--n", "3", "--N", "10", "--eps", "1"]) == [
-        "numpy", "urnengine.cli", "urnengine.thermo"]
+        "urnengine.cli", "urnengine.thermo"]
+
+
+@pytest.mark.parametrize("argv, modules", SCALAR_COMMANDS,
+                         ids=[" ".join(argv[:2]) for argv, _ in SCALAR_COMMANDS])
+def test_scalar_commands_load_no_numpy(argv, modules):
+    assert _after_main(argv) == ["urnengine.cli", *(f"urnengine.{m}" for m in modules)]
+
+
+def test_scalar_commands_run_with_numpy_blocked():
+    # a None entry makes every later `import numpy` raise, so a transitive import fails loudly
+    code = ("import sys\nsys.modules['numpy'] = None\nfrom urnengine import cli\n"
+            f"for argv in {[argv for argv, _ in SCALAR_COMMANDS]!r}:\n"
+            "    assert cli.main(argv) == 0, argv")
+    subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+
+
+def test_region_loads_no_monte_carlo():
+    loaded = _after_main(["region", "--m", "1", "--beta-l", "1.38", "--beta-h", "0.42",
+                          "--samples", "10", "--eps-max", "5", "--seed", "1"])
+    assert "urnengine.frontier" in loaded
+    assert "urnengine.montecarlo" not in loaded and "urnengine.urn" not in loaded
 
 
 def test_simulate_loads_neither_frontier_nor_continuum():

@@ -1,6 +1,7 @@
 """Occupancy, inverse temperature, entropy, degeneracy."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -130,11 +131,41 @@ def test_entropy_equally_spaced_two_levels_matches_pair_form():
         assert thermo.entropy_equally_spaced(x, 2) == pytest.approx(float(thermo.entropy_s(x)), rel=1e-12)
 
 
+def _entropy_log_sum_exp(x, levels):
+    """s = ln Z + x<k> summed over every level: the oracle for the closed form.
+    It allocates ``levels`` floats, so keep ``levels`` small."""
+    x = abs(x)
+    k = np.arange(levels, dtype=float)
+    t = -k * x
+    log_z = float(np.logaddexp.reduce(t))
+    return log_z + x * float(np.exp(t - log_z) @ k)
+
+
+@pytest.mark.parametrize("levels", [2, 3, 7, 100, 1000, 10_000])
+@pytest.mark.parametrize("x", [0.0, 1e-12, 1e-4, 1.0, 30.0, 800.0])
+def test_entropy_equally_spaced_matches_log_sum_exp(x, levels):
+    expected = _entropy_log_sum_exp(x, levels)
+    for gap in (x, -x):
+        assert math.isclose(thermo.entropy_equally_spaced(gap, levels), expected, rel_tol=1e-12)
+
+
+def test_entropy_equally_spaced_huge_levels():
+    # L -> inf leaves s = -ln(1 - e^-x) + x/(e^x - 1); 10^12 levels would be 8 TB as an array
+    x = 0.5
+    limit = -math.log1p(-math.exp(-x)) + x / math.expm1(x)
+    assert thermo.entropy_equally_spaced(x, 10**12) == pytest.approx(limit, rel=1e-14)
+    assert thermo.entropy_equally_spaced(0.0, 10**300) == pytest.approx(300 * math.log(10), rel=1e-15)
+    # L x overflows to inf: every state but k = 0 is empty
+    assert thermo.entropy_equally_spaced(1e10, 10**300) == 0.0
+
+
 def test_entropy_equally_spaced_validation():
     with pytest.raises(ValueError, match="levels"):
         thermo.entropy_equally_spaced(1.0, 1)
     with pytest.raises(ValueError, match="finite"):
         thermo.entropy_equally_spaced(float("nan"), 3)
+    with pytest.raises(ValueError, match="levels too large for a float"):
+        thermo.entropy_equally_spaced(0.5, 10**400)
 
 
 def test_log_degeneracy_small_exact():
@@ -182,3 +213,21 @@ def test_carnot_accepts_inverse_temperature_objects():
     bl = thermo.beta_from_occupancy(2000, 10_000, 1.0)
     bh = thermo.beta_from_occupancy(3000, 10_000, 2.0)
     assert thermo.carnot_efficiency(bl, bh) == pytest.approx(1.0 - bh.beta / bl.beta, rel=1e-14)
+
+
+def _bits(value):
+    return struct.pack("<d", float(value))
+
+
+def test_efficiency_float_branch_matches_array_branch_bit_for_bit():
+    q_highs = [-2.5, -1e-300, 0.0, -0.0, 1.5, math.nan, math.inf, -math.inf]
+    works = [0.7, -0.7, 0.0, -0.0]
+    for w in works:
+        for q in q_highs:
+            array_eta = thermo._efficiency(np.array(w), np.array(q))
+            assert isinstance(array_eta, np.floating)
+            for args in ((w, q), (np.float64(w), np.float64(q)), (w, np.float64(q))):
+                assert _bits(thermo._efficiency(*args)) == _bits(array_eta), (w, q, args)
+    batch = thermo._efficiency(np.repeat(works, len(q_highs)), np.tile(q_highs, len(works)))
+    singles = [thermo._efficiency(w, q) for w in works for q in q_highs]
+    assert list(map(_bits, batch)) == list(map(_bits, singles))
