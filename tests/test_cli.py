@@ -326,10 +326,10 @@ def test_frontier_echoes_the_optimizer_defaults(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, message", [
     (["thermo", "occupancy", "--x", "nan"], "occupancy argument must not be NaN"),
-    (["thermo", "entropy", "--x", "0.5", "--levels", "1" + "0" * 400], "levels too large for a float"),
     # the endpoint check names the flag before any occupancy sees the NaN
     (["continuum", "reversible", "--beta-l", "1", "--beta-h", "0.5", "--l1", "nan", "--lm", "2"],
      "invalid reduced endpoint cold_first: altitude must be positive"),
+    (["thermo", "entropy", "--x", "0.5", "--levels", "1" + "0" * 400], "levels too large for a float"),
 ])
 def test_nan_inputs_exit_one(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
