@@ -21,13 +21,12 @@ _EXPORTS = {
     "thermo": ("EntropyValue", "InverseTemperature", "beta_from_occupancy",
                "carnot_efficiency", "entropy_equally_spaced", "entropy_s",
                "log_degeneracy", "occupancy", "occupancy_np"),
-    "urn": ("CycleOutcome", "EngineRing", "Group", "Reservoir", "draw_ball",
-            "exchange_step", "make_reservoir", "otto_ring", "two_level_ring"),
+    "urn": ("EngineRing", "Group", "Reservoir", "make_reservoir", "two_level_ring"),
     "analytic": ("RingSpec", "WorkStatistics", "efficiency_otto", "equilibrium_ring",
                  "mean_heats_ring", "work_statistics_general", "work_statistics_ring"),
     "continuum": ("CarnotEndpoints", "ContinuumHeats", "continuum_heats",
-                  "discretized_ring", "max_reversible_work", "otto_endpoints",
-                  "reversible_endpoints", "reversible_work"),
+                  "discretized_ring", "max_reversible_work", "reversible_endpoints",
+                  "reversible_work"),
     "montecarlo": ("ComparisonReport", "EnsembleStats", "compare_to_analytic",
                    "exact_work_distribution", "ring_spec_of", "run_ensemble"),
     "frontier": ("FrontierPoint", "Mode", "RegionSample", "carnot_frontier",

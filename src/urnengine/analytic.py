@@ -21,6 +21,7 @@ its efficiency 1 - eps_l/eps_h depends only on the altitudes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,8 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class RingSpec:
     """Per-reservoir description of a 2m-ring: altitude, mean weight, and
-    (for 0/1 populations) the excited fraction driving the variance model.
+    (for 0/1 populations) the excited fraction driving the variance model,
+    which is the mean weight itself.
 
     Index convention is cyclic with k = 0..2m-1, the first m entries the low
     group; index -1 wraps to 2m-1.
@@ -64,11 +66,10 @@ class RingSpec:
         if not np.all(np.isfinite(f)) or np.any(f < 0.0):
             raise ValueError("invalid population")
         if self.bernoulli_f is not None:
-            b = np.array(self.bernoulli_f, dtype=float)
-            object.__setattr__(self, "bernoulli_f", b)
-            if b.shape != (n,) or not np.all((b >= 0.0) & (b <= 1.0)):
+            b = np.asarray(self.bernoulli_f, dtype=float)
+            if b.shape != (n,) or (b != f).any() or (f > 1.0).any():
                 raise ValueError("invalid population")
-            b.flags.writeable = False
+            object.__setattr__(self, "bernoulli_f", f)
         eps.flags.writeable = False
         f.flags.writeable = False
 
@@ -178,8 +179,11 @@ def work_statistics_general(
     if np.any(vw < 0.0):
         raise ValueError("invalid population")
     d = eps - np.roll(eps, -1)
-    mean = float(d @ mw)
-    variance = float((d * d) @ vw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(d @ mw)
+        variance = float((d * d) @ vw)
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise ValueError("work statistics too large for a float")
     ratio = variance / mean if mean != 0.0 else None
     return WorkStatistics(mean=mean, variance=variance, ratio=ratio)
 

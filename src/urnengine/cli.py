@@ -181,9 +181,10 @@ def _handle_analytic_otto(args: argparse.Namespace) -> CommandResult:
     spec = analytic.RingSpec.from_counts([args.eps_l, args.eps_h], [args.n_l, args.n_h], args.N)
     q_l, q_h, w = analytic.mean_heats_ring(spec)
     stats = analytic.work_statistics_ring(spec)
+    eta = thermo._efficiency(w, q_h)
     outputs: dict[str, Any] = {
         "W": w,
-        "eta": analytic.efficiency_otto(args.eps_l, args.eps_h),
+        "eta": None if math.isnan(eta) else eta,
         "Q_l": q_l,
         "Q_h": q_h,
         "var_W": stats.variance,

@@ -20,7 +20,8 @@ at exactly the Carnot efficiency, with supremum (1/beta_h - 1/beta_l)*ln 2
 approached as L1 -> 0 and |Lm| -> inf.
 
 Collapsing each branch to a single gap (L1 = Lm, H1 = Hm) recovers the
-two-reservoir Otto work, see ``otto_endpoints``.
+two-reservoir Otto work: ``CarnotEndpoints.from_altitudes(beta_l, beta_h,
+eps_l, eps_l, eps_h, eps_h)``.
 
 Everything here is scalar arithmetic and loads no numpy; only
 ``discretized_ring``, which builds a finite ring, imports numpy and
@@ -45,7 +46,6 @@ __all__ = [
     "reversible_work",
     "reversible_endpoints",
     "max_reversible_work",
-    "otto_endpoints",
     "discretized_ring",
 ]
 
@@ -192,11 +192,6 @@ def max_reversible_work(beta_l: float, beta_h: float) -> float:
     """Supremum (1/beta_h - 1/beta_l) * ln 2 of the reversible work."""
     bl, bh = _matched_betas(beta_l, beta_h)
     return (1.0 / bh - 1.0 / bl) * math.log(2.0)
-
-
-def otto_endpoints(beta_l: float, beta_h: float, eps_l: float, eps_h: float) -> CarnotEndpoints:
-    """Collapsed branches (one sub-reservoir each): recovers the Otto work."""
-    return CarnotEndpoints.from_altitudes(beta_l, beta_h, eps_l, eps_l, eps_h, eps_h)
 
 
 def discretized_ring(ep: CarnotEndpoints, m: int) -> RingSpec:

@@ -106,10 +106,6 @@ class RegionSample:
     engine: np.ndarray
     eps: np.ndarray
 
-    def pairs(self) -> list[tuple[float, float]]:
-        """(W, eta) tuples in sample order."""
-        return [(float(w), float(e)) for w, e in zip(self.work, self.efficiency)]
-
 
 def evaluate_configs(
     beta_l: float, beta_h: float, eps: np.ndarray

@@ -17,9 +17,10 @@ r < 2^64 - (2^64 mod N), making r mod N uniform over [0, N); the rare
 rejected word (probability < N/2^64 per draw) is replaced from the trial's
 spare words in a deterministic order.
 
-Work and heats use the same accumulation order as urn.exchange_step, so for
-0/1 weights the per-trial work values land on exactly the same floats the
-exact enumeration in compare_to_analytic produces.
+A trial's work is accumulated in ring order, W = ((d_0 w_0 + d_1 w_1) + ...)
+with d_k = eps_k - eps_{k+1}, and the heat into reservoir k is
+eps_k (w_{k-1} - w_k); so for 0/1 weights the per-trial work values land on
+exactly the same floats the exact enumeration in compare_to_analytic produces.
 
 Rings with prod_k K_k <= 2^20 draw tuples (K_k weight classes at reservoir k;
 2m <= 20 for 0/1 rings) skip per-trial weights: a trial becomes the mixed-radix
@@ -160,7 +161,7 @@ def _ball_indices(tables: _Tables, key: int, lo: int, hi: int) -> np.ndarray:
 
 def _work_audit(tables: _Tables, column, heat_sums: np.ndarray | None = None):
     """Work and conservation-audit verdict per row from ``column(k)``, the
-    drawn weights of reservoir k, in urn.exchange_step's order; fills
+    drawn weights of reservoir k, summed in ring order; fills
     ``heat_sums[k]`` with reservoir k's heats summed in row order, if given.
     The audit bounds the residual by its summands, not by |W|: with equal
     draws the heats are 0 and W is rounding residue."""
@@ -374,11 +375,16 @@ def compare_to_analytic(stats: EnsembleStats, spec: RingSpec) -> ComparisonRepor
             eps = spec.altitudes
             f = spec.bernoulli_f
             d = eps - np.roll(eps, -1)
+            # a power of two scales max |d_k| into [0.5, 1): exact, and d**4
+            # and variance**2 cannot overflow at extreme altitudes
+            e = -math.frexp(float(np.abs(d).max()))[1]
+            d = np.ldexp(d, e)
+            var = math.ldexp(ws.variance, 2 * e)
             pq = f * (1.0 - f)
             kappa4 = float((d**4) @ (pq * (1.0 - 6.0 * pq)))
-            mu4 = kappa4 + 3.0 * ws.variance**2
-            se_var = math.sqrt((mu4 - ws.variance**2 * (n - 3) / (n - 1)) / n)
-            z_var = (stats.var_work - ws.variance) / se_var
+            mu4 = kappa4 + 3.0 * var**2
+            se_var = math.sqrt((mu4 - var**2 * (n - 3) / (n - 1)) / n)
+            z_var = (math.ldexp(stats.var_work, 2 * e) - var) / se_var
         elif ws.variance == 0.0:
             exact_match = stats.var_work == 0.0 and stats.mean_work == ws.mean
         if 2**len(spec.altitudes) <= _CODES and stats.bin_width is None:

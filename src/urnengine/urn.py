@@ -1,4 +1,4 @@
-"""Reservoirs of weighted balls and the randomized exchange cycle.
+"""Reservoirs of weighted balls and the rings of the exchange cycle.
 
 An engine is a closed ring of 2m reservoirs (m low-side followed by m
 high-side), each holding N distinguishable balls at a fixed altitude.  One
@@ -14,8 +14,7 @@ and energy is conserved trial by trial: work + sum of heat increments = 0.
 
 Reservoirs are immutable: an ensemble means re-drawing from the same initial
 populations, never evolving one engine's composition over repeated cycles.
-Randomness is injected (any numpy Generator); nothing here seeds itself, so
-the ensemble layer retains full control over reproducibility.
+The cycles themselves are drawn by ``montecarlo``.
 """
 
 from __future__ import annotations
@@ -32,12 +31,8 @@ __all__ = [
     "Group",
     "Reservoir",
     "EngineRing",
-    "CycleOutcome",
     "make_reservoir",
-    "draw_ball",
-    "exchange_step",
     "two_level_ring",
-    "otto_ring",
 ]
 
 
@@ -166,45 +161,6 @@ class EngineRing:
         return out
 
 
-@dataclass(frozen=True)
-class CycleOutcome:
-    """One trial: drawn weights, per-reservoir heat increments, and work."""
-
-    work: float
-    heat_increments: tuple[float, ...]
-    drawn_weights: tuple[float, ...]
-
-    def conservation_residual(self) -> float:
-        """work + sum of heats, accumulated left to right; 0 up to rounding."""
-        acc = self.work
-        for q in self.heat_increments:
-            acc += q
-        return acc
-
-
-def draw_ball(reservoir: Reservoir, rng: np.random.Generator) -> float:
-    """Weight of one uniformly drawn ball; every ball has probability 1/N."""
-    idx = int(rng.integers(reservoir.total))
-    j = int(np.searchsorted(reservoir.cumulative_counts, idx, side="right"))
-    return float(reservoir.weights[j])
-
-
-def exchange_step(ring: EngineRing, rng: np.random.Generator) -> CycleOutcome:
-    """Run one cycle: simultaneous draws, then the ring-shift bookkeeping.
-
-    Draw order is ring order (low side first); all draws use the pre-cycle
-    populations, so no draw can see another draw's ball.
-    """
-    drawn = [draw_ball(r, rng) for r in ring.reservoirs]
-    eps = [r.altitude for r in ring.reservoirs]
-    n = len(drawn)
-    work = 0.0
-    for k in range(n):
-        work += (eps[k] - eps[(k + 1) % n]) * drawn[k]
-    heats = tuple(eps[k] * (drawn[k - 1] - drawn[k]) for k in range(n))
-    return CycleOutcome(work=work, heat_increments=heats, drawn_weights=tuple(drawn))
-
-
 def two_level_ring(altitudes: Sequence[float], excited: Sequence[int], total: int) -> EngineRing:
     """Ring of 0/1-weight reservoirs; first half low group, second half high.
 
@@ -225,8 +181,3 @@ def two_level_ring(altitudes: Sequence[float], excited: Sequence[int], total: in
         group = Group.LOW if k < n // 2 else Group.HIGH
         reservoirs.append(make_reservoir(eps, population, group))
     return EngineRing(reservoirs=tuple(reservoirs))
-
-
-def otto_ring(eps_l: float, eps_h: float, n_l: int, n_h: int, total: int) -> EngineRing:
-    """Two-reservoir (m=1) 0/1-weight ring."""
-    return two_level_ring([eps_l, eps_h], [n_l, n_h], total)

@@ -177,6 +177,13 @@ def test_ring_spec_validation():
             mean_weights=np.array([0.2, 0.3]),
             bernoulli_f=np.array([0.2, 1.3]),
         )
+    # 0/1 fractions are the mean weights, so a ring cannot have two differing ones
+    with pytest.raises(ValueError, match="invalid population"):
+        analytic.RingSpec(
+            altitudes=np.array([1.0, 2.0]),
+            mean_weights=np.array([0.2, 0.3]),
+            bernoulli_f=np.array([0.5, 0.9]),
+        )
     with pytest.raises(ValueError, match="invalid population"):
         analytic.RingSpec(altitudes=np.array([1.0, 2.0]), mean_weights=np.array([0.2, -0.1]))
 

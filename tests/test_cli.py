@@ -80,6 +80,15 @@ def test_degenerate_hot_count_leaves_eta_carnot_null(n_h, capsys):
     assert doc["outputs"]["eta_carnot"] is None
 
 
+@pytest.mark.parametrize("N, n_l, n_h", [("10000", "3000", "2000"), ("10", "3", "3")],
+                         ids=["pump", "no-heat"])
+def test_otto_eta_is_null_unless_the_hot_side_discharges(N, n_l, n_h, capsys):
+    doc = run_json(["analytic", "otto", "--eps-l", "1", "--eps-h", "2",
+                    "--N", N, "--n-l", n_l, "--n-h", n_h], capsys)
+    assert doc["outputs"]["Q_h"] >= 0.0
+    assert doc["outputs"]["eta"] is None
+
+
 def test_repeated_invocations_byte_identical(capsys):
     _, first, _ = run_cli(OTTO, capsys)
     _, second, _ = run_cli(OTTO, capsys)
@@ -330,7 +339,11 @@ def test_frontier_echoes_the_optimizer_defaults(capsys, monkeypatch):
     (["continuum", "reversible", "--beta-l", "1", "--beta-h", "0.5", "--l1", "nan", "--lm", "2"],
      "invalid reduced endpoint cold_first: altitude must be positive"),
     (["thermo", "entropy", "--x", "0.5", "--levels", "1" + "0" * 400], "levels too large for a float"),
+    (["analytic", "variance", "--eps", "1,1e308", "--f", "0.5,0.5"], "work statistics too large for a float"),
+    # for 0/1 weights the excited fraction is the mean weight: two differing ones are no ring
+    (["analytic", "ring", "--eps", "1,2", "--f-mean", "0.2,0.3", "--f", "0.5,0.9"], "invalid population"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_nan_inputs_exit_one(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1
@@ -515,6 +528,8 @@ def test_frontier_writer_matches_dict_rows(m, fmt, tmp_path, monkeypatch):
      "--N", "100", "--trials", "1000", "--seed", "1"],
     ["continuum", "heats", "--beta-l", "1.38", "--beta-h", "0.42",
      "--l1", "3", "--lm", "0.5", "--h1", "0.2", "--hm", "1.5"],  # the hot side absorbs: eta is null
+    # d**4 and variance**2 of z_var would overflow without rescaling
+    ["simulate", "--eps", "1,1e100", "--n", "2,3", "--N", "10", "--trials", "1000", "--seed", "1"],
 ])
 def test_scalar_csv_matches_dict_row(argv, tmp_path):
     args = cli.build_parser().parse_args(argv)

@@ -146,7 +146,7 @@ def test_m64_ring_within_one_percent_of_continuum():
 
 
 def test_otto_endpoints_collapse():
-    ep = continuum.otto_endpoints(1.38, 0.42, 1.0, 2.0)
+    ep = continuum.CarnotEndpoints.from_altitudes(1.38, 0.42, 1.0, 1.0, 2.0, 2.0)
     assert ep.cold_first == ep.cold_last == pytest.approx(1.38)
     assert ep.hot_first == ep.hot_last == pytest.approx(0.84)
     res = continuum.continuum_heats(ep)
@@ -189,7 +189,7 @@ def test_discretized_ring_converges_to_continuum():
 
 
 def test_discretized_ring_m1_is_two_reservoirs():
-    ep = continuum.otto_endpoints(1.38, 0.42, 1.0, 2.0)
+    ep = continuum.CarnotEndpoints.from_altitudes(1.38, 0.42, 1.0, 1.0, 2.0, 2.0)
     spec = continuum.discretized_ring(ep, 1)
     assert spec.m == 1
     assert list(spec.altitudes) == [1.0, 2.0]

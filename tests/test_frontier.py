@@ -56,7 +56,7 @@ def test_region_sample_contract():
     sample = frontier.sample_region(2, BL, BH, 500, 5.0, seed=1)
     assert sample.eps.shape == (500, 4)
     assert np.all(sample.eps > 0.0) and np.all(sample.eps <= 5.0)
-    assert len(sample.pairs()) == 500
+    assert sample.work.shape == sample.efficiency.shape == (500,)
     with pytest.raises(ValueError):
         sample.work[0] = 0.0
     # flag marks hot-side discharge only; recomputation agrees

@@ -2,16 +2,18 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from exchange_oracle import exchange_step
 from urnengine import analytic, montecarlo, urn
 
 
 def otto_oracle_ring():
-    return urn.otto_ring(1.0, 2.0, 2, 3, 10)  # f = (0.2, 0.3)
+    return urn.two_level_ring([1.0, 2.0], [2, 3], 10)  # f = (0.2, 0.3)
 
 
 def test_run_ensemble_validation():
@@ -24,7 +26,7 @@ def test_run_ensemble_validation():
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_64_bits_is_a_domain_error(seed):
-    ring = urn.otto_ring(1.0, 2.0, 2, 3, 10)
+    ring = urn.two_level_ring([1.0, 2.0], [2, 3], 10)
     with pytest.raises(ValueError, match="seed must be in"):
         montecarlo.run_ensemble(ring, 10, seed)
 
@@ -183,20 +185,6 @@ def test_compare_rejects_mismatched_spec():
         montecarlo.compare_to_analytic(stats, wrong)
 
 
-def test_draw_frequencies_chi_square():
-    # class frequencies from the exchange sampler against the multinomial law
-    r = urn.make_reservoir(1.0, {0.0: 2, 1.0: 3, 2.0: 5}, urn.Group.LOW)
-    rng = np.random.default_rng(31)
-    draws = 20_000
-    counts = {0.0: 0, 1.0: 0, 2.0: 0}
-    for _ in range(draws):
-        counts[urn.draw_ball(r, rng)] += 1
-    expected = np.array([2, 3, 5]) / 10 * draws
-    observed = np.array([counts[0.0], counts[1.0], counts[2.0]])
-    chi2 = float(((observed - expected) ** 2 / expected).sum())
-    assert chi2 < sps.chi2.ppf(0.999, df=2)
-
-
 def test_ensemble_histogram_chi_square():
     ring = otto_oracle_ring()
     stats = montecarlo.run_ensemble(ring, 200_000, seed=77)
@@ -236,7 +224,8 @@ def _mixed_ring(n, seed, weights=(0.0, 1.0, 2.5), total=1000):
 
 
 def _drawn_weights(ring, balls):
-    """Weight of each drawn ball, (2m, trials), as urn.draw_ball maps an index."""
+    """Weight of each drawn ball, (2m, trials): ball index i has the class whose
+    cumulative count first exceeds i."""
     return np.array([
         r.weights[np.searchsorted(r.cumulative_counts, b.astype(np.int64), side="right")]
         for r, b in zip(ring.reservoirs, balls)
@@ -246,7 +235,7 @@ def _drawn_weights(ring, balls):
 @pytest.mark.parametrize(
     "ring",
     [
-        urn.otto_ring(1.0, 2.0, 2, 3, 10),
+        urn.two_level_ring([1.0, 2.0], [2, 3], 10),
         # equal weights: heats exactly 0, work pure rounding residue (audit edge)
         urn.two_level_ring([0.1, 0.2, 0.7, 0.3], [9, 9, 9, 9], 10),
         # an all-0 and an all-1 reservoir
@@ -379,7 +368,7 @@ def test_workers_bit_identical_on_16_ring():
 def test_rejected_words_are_replaced_from_spares_in_ring_order():
     # N = 2^61 + 1 rejects about one word in eight
     total = 2**61 + 1
-    ring = urn.otto_ring(1.0, 2.0, 2**59, 2**60, total)
+    ring = urn.two_level_ring([1.0, 2.0], [2**59, 2**60], total)
     tables = montecarlo._Tables(ring)
     lo, hi, n_res = 7, 3000, 2
     bg = np.random.Philox(key=5, counter=lo * tables.blocks_per_trial)
@@ -411,6 +400,33 @@ def test_22_reservoir_ring_takes_trial_path():
     assert report.passed
 
 
+@pytest.mark.parametrize("ring", [_equilibrium_like_ring(22, 4), MIXED_RINGS["fault"]],
+                         ids=["0/1 2m=22", "fault"])
+def test_trial_path_matches_the_exchange_oracle(ring):
+    tables = montecarlo._Tables(ring)
+    tables.two_level = True  # exact histogram keys for any weights: compare value by value
+    balls = montecarlo._ball_indices(tables, 6, 0, 3000)
+    slow = montecarlo._trial_stats(tables, balls)
+    trials = [exchange_step(tables.eps, drawn) for drawn in _drawn_weights(ring, balls).T.tolist()]
+    assert Counter(work for work, _, _ in trials) == slow.hist
+    assert sum(violation for _, _, violation in trials) == slow.violations
+    # heats summed trial by trial, in sequence
+    heat_sums = np.cumsum([heats for _, heats, _ in trials], axis=0)[-1]
+    assert np.array_equal(heat_sums / len(trials), slow.mean_heats)
+
+
+def test_z_var_is_exact_under_power_of_two_altitudes():
+    # every work value, moment and analytic term scales by a power of two, so
+    # z_var does not change; 2^300 altitudes overflow d**4 unless it is rescaled
+    base = montecarlo.run_ensemble(otto_oracle_ring(), 4000, seed=2)
+    z = montecarlo.compare_to_analytic(base, montecarlo.ring_spec_of(otto_oracle_ring())).z_var
+    for scale in (2.0**-40, 2.0**300):
+        ring = urn.two_level_ring([scale, 2.0 * scale], [2, 3], 10)
+        stats = montecarlo.run_ensemble(ring, 4000, seed=2)
+        assert stats.var_work == base.var_work * scale * scale
+        assert montecarlo.compare_to_analytic(stats, montecarlo.ring_spec_of(ring)).z_var == z
+
+
 def test_tv_enumeration_follows_the_code_limit(monkeypatch):
     ring = urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9)
     spec = montecarlo.ring_spec_of(ring)
@@ -437,7 +453,7 @@ def test_tv_distance_matches_dict_reference():
 
 
 def test_largest_int64_population_runs():
-    ring = urn.otto_ring(1.0, 2.0, 2**61, 2**62, 2**63 - 1)
+    ring = urn.two_level_ring([1.0, 2.0], [2**61, 2**62], 2**63 - 1)
     stats = montecarlo.run_ensemble(ring, 1000, seed=3)
     assert stats.trials == 1000 and stats.conservation_violations == 0
 
@@ -445,4 +461,4 @@ def test_largest_int64_population_runs():
 @pytest.mark.parametrize("total", [2**63, 2**64 + 5])
 def test_population_beyond_int64_is_a_domain_error(total):
     with pytest.raises(ValueError, match="invalid population"):
-        urn.otto_ring(1.0, 2.0, 2, 3, total)
+        urn.two_level_ring([1.0, 2.0], [2, 3], total)
