@@ -9,8 +9,9 @@ All quantities are in reduced units with k_B = 1.
 
 Submodules load on first use (PEP 562): ``import urnengine`` loads neither
 numpy nor any submodule, and ``urnengine.occupancy`` or ``urnengine.frontier``
-imports its home module when first read.  _EXPORTS lists every public name
-once, under that home module.
+imports its home module when first read.  _EXPORTS is the one list of
+public names, each under its home module, and each submodule's __all__ is
+its entry.
 """
 
 import importlib

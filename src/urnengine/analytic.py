@@ -26,17 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .thermo import occupancy_np
 
-__all__ = [
-    "RingSpec",
-    "WorkStatistics",
-    "efficiency_otto",
-    "mean_heats_ring",
-    "work_statistics_ring",
-    "work_statistics_general",
-    "equilibrium_ring",
-]
+__all__ = _EXPORTS["analytic"]
 
 
 @dataclass(frozen=True, eq=False)

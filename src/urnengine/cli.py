@@ -23,12 +23,9 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from . import __version__
-
-if TYPE_CHECKING:  # each handler imports the modules it runs
-    from . import continuum
 
 __all__ = ["main", "build_parser"]
 
@@ -37,11 +34,11 @@ __all__ = ["main", "build_parser"]
 class CommandResult:
     """A command's document: JSON ``inputs`` and ``outputs``, and a table of
     ``columns`` with one sequence of ``cells`` per column.  CSV writes the
-    table; JSON writes it as outputs["points"] when ``points`` is set."""
+    table; JSON writes it as outputs["points"] when ``points`` is set, and
+    the seed at top level when the inputs hold one."""
 
     inputs: dict[str, Any]
     outputs: dict[str, Any]
-    seed: int | None
     columns: list[str]
     cells: list[Sequence[Any]]
     points: bool = False
@@ -143,8 +140,8 @@ def _emit(result: CommandResult, fmt: str, output: str | None) -> None:
             return
         doc = {"inputs": _jsonable(result.inputs), "outputs": _jsonable(result.outputs),
                "version": __version__}
-        if result.seed is not None:
-            doc["seed"] = result.seed
+        if result.inputs.get("seed") is not None:
+            doc["seed"] = result.inputs["seed"]
         if result.points:
             doc["outputs"]["points"] = []
         head, points, tail = (json.dumps(doc, sort_keys=True, indent=2) + "\n").partition('"points": []')
@@ -160,13 +157,33 @@ def _emit(result: CommandResult, fmt: str, output: str | None) -> None:
         fh.write(head + points + tail)
 
 
-def _scalar_result(inputs: dict[str, Any], outputs: dict[str, Any], seed: int | None = None) -> CommandResult:
+def _scalar_result(inputs: dict[str, Any], outputs: dict[str, Any]) -> CommandResult:
     # one CSV row merging inputs and scalar outputs; on a name clash the
     # echoed input wins and the column appears once
     row = {**{k: v for k, v in outputs.items() if not isinstance(v, dict)}, **inputs}
     columns = list(inputs) + [k for k in row if k not in inputs]
-    return CommandResult(inputs=inputs, outputs=outputs, seed=seed, columns=columns,
-                         cells=[[row[k]] for k in columns])
+    return CommandResult(inputs=inputs, outputs=outputs, columns=columns, cells=[[row[k]] for k in columns])
+
+
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _echo(args: argparse.Namespace) -> dict[str, Any]:
+    """The subcommand's flags in declaration order, as given or defaulted."""
+    return {dest: getattr(args, dest) for dest in args.flags}
+
+
+def _form(args: argparse.Namespace, first: tuple[str, ...], second: tuple[str, ...]) -> bool:
+    """True when every flag of ``first`` is given and none of ``second``,
+    False for the reverse; any other mix is a domain error."""
+    names = ["/".join(map(_option, form)) for form in (first, second)]
+    given = [[getattr(args, dest) is not None for dest in form] for form in (first, second)]
+    if any(given[0]) and any(given[1]):
+        raise ValueError(f"{names[0]} and {names[1]} are mutually exclusive")
+    if not (all(given[0]) or all(given[1])):
+        raise ValueError(f"need all of {names[0]} or all of {names[1]}")
+    return all(given[0])
 
 
 # ---------------------------------------------------------------- handlers
@@ -174,10 +191,6 @@ def _scalar_result(inputs: dict[str, Any], outputs: dict[str, Any], seed: int | 
 
 def _handle_analytic_otto(args: argparse.Namespace) -> CommandResult:
     from . import analytic, thermo
-    inputs = {
-        "eps_l": args.eps_l, "eps_h": args.eps_h, "N": args.N,
-        "n_l": args.n_l, "n_h": args.n_h,
-    }
     spec = analytic.RingSpec.from_counts([args.eps_l, args.eps_h], [args.n_l, args.n_h], args.N)
     q_l, q_h, w = analytic.mean_heats_ring(spec)
     stats = analytic.work_statistics_ring(spec)
@@ -200,76 +213,63 @@ def _handle_analytic_otto(args: argparse.Namespace) -> CommandResult:
     )
     bl, bh = outputs["beta_l"], outputs["beta_h"]
     outputs["eta_carnot"] = None if bl in (None, 0.0) or bh is None else thermo.carnot_efficiency(bl, bh)
-    return _scalar_result(inputs, outputs)
+    return _scalar_result(_echo(args), outputs)
 
 
 def _handle_analytic_ring(args: argparse.Namespace) -> CommandResult:
     from . import analytic
-    inputs = {"eps": args.eps, "f_mean": args.f_mean, "f": args.f}
     spec = analytic.RingSpec(altitudes=args.eps, mean_weights=args.f_mean, bernoulli_f=args.f)
     q_low, q_high, w = analytic.mean_heats_ring(spec)
     outputs: dict[str, Any] = {"Q_low": q_low, "Q_high": q_high, "W": w}
     if args.f is not None:
         stats = analytic.work_statistics_ring(spec)
         outputs.update(mean_W=stats.mean, var_W=stats.variance, ratio=stats.ratio)
-    return _scalar_result(inputs, outputs)
+    return _scalar_result(_echo(args), outputs)
 
 
 def _handle_analytic_variance(args: argparse.Namespace) -> CommandResult:
     from . import analytic
-    inputs = {"eps": args.eps, "f": args.f}
     spec = analytic.RingSpec(altitudes=args.eps, mean_weights=args.f, bernoulli_f=args.f)
     stats = analytic.work_statistics_ring(spec)
     outputs = {"mean_W": stats.mean, "var_W": stats.variance, "ratio": stats.ratio}
-    return _scalar_result(inputs, outputs)
+    return _scalar_result(_echo(args), outputs)
 
 
 def _handle_thermo_beta(args: argparse.Namespace) -> CommandResult:
     from . import thermo
-    inputs = {"n": args.n, "N": args.N, "eps": args.eps}
     beta = thermo.beta_from_occupancy(args.n, args.N, args.eps)
-    outputs = {"beta": beta.beta, "temperature": beta.temperature}
-    return _scalar_result(inputs, outputs)
+    return _scalar_result(_echo(args), {"beta": beta.beta, "temperature": beta.temperature})
 
 
 def _handle_thermo_occupancy(args: argparse.Namespace) -> CommandResult:
     from . import thermo
-    inputs = {"x": args.x}
-    outputs = {"f": thermo.occupancy(args.x)}
-    return _scalar_result(inputs, outputs)
+    return _scalar_result(_echo(args), {"f": thermo.occupancy(args.x)})
 
 
 def _handle_thermo_entropy(args: argparse.Namespace) -> CommandResult:
     from . import thermo
-    inputs = {"x": args.x, "y": args.y, "levels": args.levels}
     if args.levels is not None:
         if args.y is not None:
             raise ValueError("--levels and --y are mutually exclusive")
         s = thermo.entropy_equally_spaced(args.x, args.levels)
     else:
         s = thermo.entropy_s(args.x, args.y).s
-    return _scalar_result(inputs, {"s": s})
+    return _scalar_result(_echo(args), {"s": s})
 
 
 def _handle_thermo_degeneracy(args: argparse.Namespace) -> CommandResult:
     from . import thermo
-    inputs = {"N": args.N, "n": args.n}
-    outputs = {"log_degeneracy": thermo.log_degeneracy(args.N, args.n)}
-    return _scalar_result(inputs, outputs)
+    return _scalar_result(_echo(args), {"log_degeneracy": thermo.log_degeneracy(args.N, args.n)})
 
 
 def _handle_simulate(args: argparse.Namespace) -> CommandResult:
     from . import montecarlo, urn
-    if args.eps is not None or args.n is not None:
-        if args.eps is None or args.n is None:
-            raise ValueError("ring mode needs both --eps and --n")
+    if (args.eps is None) != (args.n is None):
+        raise ValueError("ring mode needs both --eps and --n")
+    if _form(args, ("eps", "n"), ("eps_l", "eps_h", "n_l", "n_h")):
         altitudes, excited = args.eps, args.n
     else:
-        required = (args.eps_l, args.eps_h, args.n_l, args.n_h)
-        if any(v is None for v in required):
-            raise ValueError("need --eps-l/--eps-h/--n-l/--n-h or --eps/--n")
-        altitudes = [args.eps_l, args.eps_h]
-        excited = [args.n_l, args.n_h]
+        altitudes, excited = [args.eps_l, args.eps_h], [args.n_l, args.n_h]
     inputs = {
         "eps": list(altitudes), "n": [int(v) for v in excited], "N": args.N,
         "trials": args.trials, "seed": args.seed, "workers": args.workers,
@@ -293,29 +293,21 @@ def _handle_simulate(args: argparse.Namespace) -> CommandResult:
         "exact_match": report.exact_match,
         "passed": report.passed,
     }
-    return _scalar_result(inputs, outputs, seed=args.seed)
-
-
-def _continuum_endpoints(args: argparse.Namespace) -> continuum.CarnotEndpoints:
-    from . import continuum
-    reduced = (args.l1, args.lm, args.h1, args.hm)
-    raw = (args.eps_l1, args.eps_lm, args.eps_h1, args.eps_hm)
-    if all(v is not None for v in reduced):
-        return continuum.CarnotEndpoints(
-            beta_l=args.beta_l, beta_h=args.beta_h,
-            cold_first=args.l1, cold_last=args.lm,
-            hot_first=args.h1, hot_last=args.hm,
-        )
-    if all(v is not None for v in raw):
-        return continuum.CarnotEndpoints.from_altitudes(
-            args.beta_l, args.beta_h, args.eps_l1, args.eps_lm, args.eps_h1, args.eps_hm
-        )
-    raise ValueError("need all of --l1/--lm/--h1/--hm or all of --eps-l1/--eps-lm/--eps-h1/--eps-hm")
+    return _scalar_result(inputs, outputs)
 
 
 def _handle_continuum_heats(args: argparse.Namespace) -> CommandResult:
     from . import continuum
-    ep = _continuum_endpoints(args)
+    if _form(args, ("l1", "lm", "h1", "hm"), ("eps_l1", "eps_lm", "eps_h1", "eps_hm")):
+        ep = continuum.CarnotEndpoints(
+            beta_l=args.beta_l, beta_h=args.beta_h,
+            cold_first=args.l1, cold_last=args.lm,
+            hot_first=args.h1, hot_last=args.hm,
+        )
+    else:
+        ep = continuum.CarnotEndpoints.from_altitudes(
+            args.beta_l, args.beta_h, args.eps_l1, args.eps_lm, args.eps_h1, args.eps_hm
+        )
     inputs = {
         "beta_l": args.beta_l, "beta_h": args.beta_h,
         "L1": ep.cold_first, "Lm": ep.cold_last, "H1": ep.hot_first, "Hm": ep.hot_last,
@@ -329,12 +321,10 @@ def _handle_continuum_heats(args: argparse.Namespace) -> CommandResult:
 
 def _handle_continuum_reversible(args: argparse.Namespace) -> CommandResult:
     from . import continuum
-    if args.l1 is not None and args.lm is not None:
+    if _form(args, ("l1", "lm"), ("eps_l1", "eps_lm")):
         l1, lm = args.l1, args.lm
-    elif args.eps_l1 is not None and args.eps_lm is not None:
-        l1, lm = args.beta_l * args.eps_l1, args.beta_l * args.eps_lm
     else:
-        raise ValueError("need --l1/--lm or --eps-l1/--eps-lm")
+        l1, lm = args.beta_l * args.eps_l1, args.beta_l * args.eps_lm
     inputs = {"beta_l": args.beta_l, "beta_h": args.beta_h, "L1": l1, "Lm": lm}
     res = continuum.continuum_heats(continuum.reversible_endpoints(args.beta_l, args.beta_h, l1, lm))
     w, eta = continuum.reversible_work(args.beta_l, args.beta_h, l1, lm)
@@ -345,9 +335,7 @@ def _handle_continuum_reversible(args: argparse.Namespace) -> CommandResult:
 
 def _handle_continuum_wmax(args: argparse.Namespace) -> CommandResult:
     from . import continuum
-    inputs = {"beta_l": args.beta_l, "beta_h": args.beta_h}
-    outputs = {"W_max": continuum.max_reversible_work(args.beta_l, args.beta_h)}
-    return _scalar_result(inputs, outputs)
+    return _scalar_result(_echo(args), {"W_max": continuum.max_reversible_work(args.beta_l, args.beta_h)})
 
 
 _FRONTIER_COLUMNS = [
@@ -378,8 +366,7 @@ def _handle_frontier(args: argparse.Namespace) -> CommandResult:
     fields = ("target_work", "work", "eta", "residual", "evaluations", "start_index", "config")
     cells = [[v] * len(points) for v in (inputs["m"], args.beta_l, args.beta_h, args.mode)]
     cells += [[getattr(p, f) for p in points] for f in fields]
-    return CommandResult(inputs=inputs, outputs={}, seed=args.seed,
-                         columns=_FRONTIER_COLUMNS, cells=cells, points=True)
+    return CommandResult(inputs=inputs, outputs={}, columns=_FRONTIER_COLUMNS, cells=cells, points=True)
 
 
 _REGION_COLUMNS = ["W", "eta", "engine", "config"]
@@ -387,26 +374,29 @@ _REGION_COLUMNS = ["W", "eta", "engine", "config"]
 
 def _handle_region(args: argparse.Namespace) -> CommandResult:
     from . import frontier
-    inputs = {
-        "m": args.m, "beta_l": args.beta_l, "beta_h": args.beta_h,
-        "samples": args.samples, "eps_max": args.eps_max, "seed": args.seed,
-    }
     sample = frontier.sample_region(
         args.m, args.beta_l, args.beta_h, args.samples, args.eps_max, args.seed
     )
     cells = [sample.work.tolist(),
              [e if math.isfinite(e) else None for e in sample.efficiency.tolist()],
              sample.engine.tolist(), sample.eps.tolist()]
-    return CommandResult(inputs=inputs, outputs={}, seed=args.seed,
-                         columns=_REGION_COLUMNS, cells=cells, points=True)
+    return CommandResult(inputs=_echo(args), outputs={}, columns=_REGION_COLUMNS, cells=cells, points=True)
 
 
 # ---------------------------------------------------------------- parser
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
+def _command(sub: Any, name: str, help: str, handler: Any, /, **flags: Any) -> None:
+    """Declare a subcommand: its help, handler and flags, each flag a type
+    (required) or a dict of add_argument keywords (optional unless it says
+    otherwise), then the shared --format and --output.  ``args.flags``
+    records the flags' destinations in declaration order."""
+    p = sub.add_parser(name, help=help)
+    for dest, spec in flags.items():
+        p.add_argument(_option(dest), **(spec if isinstance(spec, dict) else {"type": spec, "required": True}))
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, help="write the document here instead of stdout")
+    p.set_defaults(handler=handler, flags=tuple(flags))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,139 +406,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analytic = sub.add_parser("analytic", help="closed-form engine statistics")
-    sub_analytic = p_analytic.add_subparsers(dest="subcommand", required=True)
+    def group(name: str, help: str) -> Any:
+        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
 
-    p = sub_analytic.add_parser("otto", help="two-reservoir engine from 0/1 populations")
-    p.add_argument("--eps-l", type=float, required=True)
-    p.add_argument("--eps-h", type=float, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n-l", type=int, required=True)
-    p.add_argument("--n-h", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_handle_analytic_otto)
+    opt_float, opt_int = {"type": float}, {"type": int}
 
-    p = sub_analytic.add_parser("ring", help="2m-ring mean heats and work")
-    p.add_argument("--eps", type=_float_list, required=True)
-    p.add_argument("--f-mean", type=_float_list, required=True)
-    p.add_argument("--f", type=_float_list, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_handle_analytic_ring)
+    analytic = group("analytic", "closed-form engine statistics")
+    _command(analytic, "otto", "two-reservoir engine from 0/1 populations", _handle_analytic_otto,
+             eps_l=float, eps_h=float, N=int, n_l=int, n_h=int)
+    _command(analytic, "ring", "2m-ring mean heats and work", _handle_analytic_ring,
+             eps=_float_list, f_mean=_float_list, f={"type": _float_list})
+    _command(analytic, "variance", "0/1-model work mean/variance/ratio", _handle_analytic_variance,
+             eps=_float_list, f=_float_list)
 
-    p = sub_analytic.add_parser("variance", help="0/1-model work mean/variance/ratio")
-    p.add_argument("--eps", type=_float_list, required=True)
-    p.add_argument("--f", type=_float_list, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_handle_analytic_variance)
+    thermo = group("thermo", "occupancy/temperature/entropy layer")
+    _command(thermo, "beta", "inverse temperature from occupancy", _handle_thermo_beta,
+             n=int, N=int, eps=float)
+    _command(thermo, "occupancy", "f(x) = 1/(exp(x)+1)", _handle_thermo_occupancy, x=float)
+    _command(thermo, "entropy", "two-level or equally-spaced entropy", _handle_thermo_entropy,
+             x=float, y=opt_float, levels=opt_int)
+    _command(thermo, "degeneracy", "log microstate count ln C(N, n)", _handle_thermo_degeneracy,
+             N=int, n=int)
 
-    p_thermo = sub.add_parser("thermo", help="occupancy/temperature/entropy layer")
-    sub_thermo = p_thermo.add_subparsers(dest="subcommand", required=True)
+    _command(sub, "simulate", "Monte Carlo ensemble of 0/1-weight cycles", _handle_simulate,
+             eps_l=opt_float, eps_h=opt_float, n_l=opt_int, n_h=opt_int,
+             eps={"type": _float_list, "help": "ring altitudes, low half first"},
+             n={"type": _int_list, "help": "ring excited counts"},
+             N=int, trials=int, seed=int, workers={"type": int, "default": 1})
 
-    p = sub_thermo.add_parser("beta", help="inverse temperature from occupancy")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_handle_thermo_beta)
+    continuum = group("continuum", "reversible-limit cycles")
+    cold = dict(beta_l=float, beta_h=float,
+                l1={"type": float, "help": "reduced cold start beta_l*eps"},
+                lm={"type": float, "help": "reduced cold end"}, eps_l1=opt_float, eps_lm=opt_float)
+    _command(continuum, "heats", "branch heats at arbitrary endpoints", _handle_continuum_heats,
+             **cold, h1=opt_float, hm=opt_float, eps_h1=opt_float, eps_hm=opt_float)
+    _command(continuum, "reversible", "matched-endpoint Carnot cycle", _handle_continuum_reversible, **cold)
+    _command(continuum, "wmax", "supremum of the reversible work", _handle_continuum_wmax,
+             beta_l=float, beta_h=float)
 
-    p = sub_thermo.add_parser("occupancy", help="f(x) = 1/(exp(x)+1)")
-    p.add_argument("--x", type=float, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_handle_thermo_occupancy)
-
-    p = sub_thermo.add_parser("entropy", help="two-level or equally-spaced entropy")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, default=None)
-    p.add_argument("--levels", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_handle_thermo_entropy)
-
-    p = sub_thermo.add_parser("degeneracy", help="log microstate count ln C(N, n)")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_handle_thermo_degeneracy)
-
-    p = sub.add_parser("simulate", help="Monte Carlo ensemble of 0/1-weight cycles")
-    p.add_argument("--eps-l", type=float, default=None)
-    p.add_argument("--eps-h", type=float, default=None)
-    p.add_argument("--n-l", type=int, default=None)
-    p.add_argument("--n-h", type=int, default=None)
-    p.add_argument("--eps", type=_float_list, default=None, help="ring altitudes, low half first")
-    p.add_argument("--n", type=_int_list, default=None, help="ring excited counts")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
-    _add_output_flags(p)
-    p.set_defaults(handler=_handle_simulate)
-
-    p_continuum = sub.add_parser("continuum", help="reversible-limit cycles")
-    sub_continuum = p_continuum.add_subparsers(dest="subcommand", required=True)
-
-    def _endpoint_flags(q: argparse.ArgumentParser, hot: bool) -> None:
-        q.add_argument("--beta-l", type=float, required=True)
-        q.add_argument("--beta-h", type=float, required=True)
-        q.add_argument("--l1", type=float, default=None, help="reduced cold start beta_l*eps")
-        q.add_argument("--lm", type=float, default=None, help="reduced cold end")
-        q.add_argument("--eps-l1", type=float, default=None)
-        q.add_argument("--eps-lm", type=float, default=None)
-        if hot:
-            q.add_argument("--h1", type=float, default=None)
-            q.add_argument("--hm", type=float, default=None)
-            q.add_argument("--eps-h1", type=float, default=None)
-            q.add_argument("--eps-hm", type=float, default=None)
-
-    p = sub_continuum.add_parser("heats", help="branch heats at arbitrary endpoints")
-    _endpoint_flags(p, hot=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_handle_continuum_heats)
-
-    p = sub_continuum.add_parser("reversible", help="matched-endpoint Carnot cycle")
-    _endpoint_flags(p, hot=False)
-    _add_output_flags(p)
-    p.set_defaults(handler=_handle_continuum_reversible)
-
-    p = sub_continuum.add_parser("wmax", help="supremum of the reversible work")
-    p.add_argument("--beta-l", type=float, required=True)
-    p.add_argument("--beta-h", type=float, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_handle_continuum_wmax)
-
-    p = sub.add_parser("frontier", help="extremal efficiency at fixed work")
-    p.add_argument("--m", type=_ring_m, required=True, help="sub-reservoirs per side, or 'carnot'")
-    p.add_argument("--beta-l", type=float, required=True)
-    p.add_argument("--beta-h", type=float, required=True)
-    p.add_argument("--target-w", type=float, default=None)
-    p.add_argument("--w-grid", type=_grid, default=None, help="start:stop:count")
-    p.add_argument("--mode", choices=("max", "min"), default="max")
-    p.add_argument("--tol-w", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init-extent", type=float, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_handle_frontier)
-
-    p = sub.add_parser("region", help="scatter-sample the attainable (W, eta) region")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--beta-l", type=float, required=True)
-    p.add_argument("--beta-h", type=float, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--eps-max", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
-    p.set_defaults(handler=_handle_region)
+    _command(sub, "frontier", "extremal efficiency at fixed work", _handle_frontier,
+             m={"type": _ring_m, "required": True, "help": "sub-reservoirs per side, or 'carnot'"},
+             beta_l=float, beta_h=float, target_w=opt_float,
+             w_grid={"type": _grid, "help": "start:stop:count"},
+             mode={"choices": ("max", "min"), "default": "max"},
+             tol_w=opt_float, budget=opt_int, starts=opt_int,
+             seed={"type": int, "default": 0}, init_extent=opt_float)
+    _command(sub, "region", "scatter-sample the attainable (W, eta) region", _handle_region,
+             m=int, beta_l=float, beta_h=float, samples=int, eps_max=float,
+             seed={"type": int, "default": 0})
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        result = args.handler(args)
-        _emit(result, args.format, args.output)
+        _emit(args.handler(args), args.format, args.output)
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 1

@@ -34,20 +34,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import _EXPORTS
 from .thermo import _efficiency, _entropy, carnot_efficiency
 
 if TYPE_CHECKING:
     from .analytic import RingSpec
 
-__all__ = [
-    "CarnotEndpoints",
-    "ContinuumHeats",
-    "continuum_heats",
-    "reversible_work",
-    "reversible_endpoints",
-    "max_reversible_work",
-    "discretized_ring",
-]
+__all__ = _EXPORTS["continuum"]
 
 
 def _checked_betas(beta_l: float, beta_h: float) -> tuple[float, float]:

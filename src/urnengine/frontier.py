@@ -38,23 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .analytic import (_checked_seed, _equilibrium_weights, _ring_heats, equilibrium_ring,
                        mean_heats_ring)
 from .continuum import (CarnotEndpoints, _branch_heats, _checked_betas, continuum_heats,
                         max_reversible_work)
 from .thermo import _efficiency, occupancy
 
-__all__ = [
-    "Mode",
-    "FrontierPoint",
-    "RegionSample",
-    "evaluate_configs",
-    "sample_region",
-    "optimize_efficiency",
-    "carnot_frontier",
-    "max_work",
-    "frontier_curve",
-]
+__all__ = _EXPORTS["frontier"]
 
 _STEP_STOP = 1e-6
 _PENALTY_START = 1e2

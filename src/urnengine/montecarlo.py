@@ -26,8 +26,9 @@ Rings with prod_k K_k <= 2^20 draw tuples (K_k weight classes at reservoir k;
 2m <= 20 for 0/1 rings) skip per-trial weights: a trial becomes the mixed-radix
 code of its draw classes, each code's work is tabulated once per run in ring
 order and the audit runs once per distinct drawn code, so moments, histogram
-and violations equal the trial path's.  Mean heats come from per-reservoir
-class counts n_kc: eps_k (S_{k-1} - S_k) / n with S_k = fsum_c w_kc n_kc.
+and violations equal the trial path's.  Both paths take mean heats from the
+per-reservoir class counts n_kc: eps_k (S_{k-1} - S_k) / n with
+S_k = fsum_c w_kc n_kc, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -38,17 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .analytic import RingSpec, _checked_seed, mean_heats_ring, work_statistics_ring
 from .urn import EngineRing
 
-__all__ = [
-    "EnsembleStats",
-    "ComparisonReport",
-    "run_ensemble",
-    "compare_to_analytic",
-    "exact_work_distribution",
-    "ring_spec_of",
-]
+__all__ = _EXPORTS["montecarlo"]
 
 _CHUNK = 16384  # trials per accumulation chunk; fixed so worker count cannot affect results
 _WORD = 1 << 64
@@ -159,12 +154,11 @@ def _ball_indices(tables: _Tables, key: int, lo: int, hi: int) -> np.ndarray:
     return np.remainder(draws.T, np.uint64(tables.total), order="C")
 
 
-def _work_audit(tables: _Tables, column, heat_sums: np.ndarray | None = None):
+def _work_audit(tables: _Tables, column):
     """Work and conservation-audit verdict per row from ``column(k)``, the
-    drawn weights of reservoir k, summed in ring order; fills
-    ``heat_sums[k]`` with reservoir k's heats summed in row order, if given.
-    The audit bounds the residual by its summands, not by |W|: with equal
-    draws the heats are 0 and W is rounding residue."""
+    drawn weights of reservoir k, summed in ring order.  The audit bounds
+    the residual by its summands, not by |W|: with equal draws the heats
+    are 0 and W is rounding residue."""
     n_res = len(tables.eps)
     work = np.zeros_like(column(0))
     scale = np.zeros_like(work)
@@ -175,8 +169,6 @@ def _work_audit(tables: _Tables, column, heat_sums: np.ndarray | None = None):
     residual = work.copy()
     for k in range(n_res):
         q = tables.eps[k] * (column((k - 1) % n_res) - column(k))
-        if heat_sums is not None:  # a running sum, not np.sum's pairwise one
-            heat_sums[k] = np.cumsum(q)[-1]
         residual += q
         scale += np.abs(q, out=q)
     return work, np.abs(residual) > 1e-12 * scale
@@ -219,34 +211,42 @@ def _code_summary(tables: _Tables, counts: np.ndarray):
     return _histogram(tables, work, drawn), int(drawn[bad].sum())
 
 
+def _mean_heats(tables: _Tables, drawn: list[list[int]], n_tr: int) -> np.ndarray:
+    """Mean heats eps_k (S_{k-1} - S_k) / n_tr from ``drawn[k][c]``, the
+    draws of class c at reservoir k, with S_k = fsum_c w_kc n_kc."""
+    sums = np.array([math.fsum(w * c for w, c in zip(tables.weights[k].tolist(), counts))
+                     for k, counts in enumerate(drawn)])
+    return np.asarray(tables.eps) * (np.roll(sums, 1) - sums) / n_tr
+
+
 def _code_stats(tables: _Tables, balls: np.ndarray) -> _Partial:
     """Chunk partial from ball indices via one draw code per trial.  Its
     histogram is the code counts; violations are counted after the merge."""
     n_tr = balls.shape[1]
     code = np.zeros(n_tr, dtype=np.intp)
-    sums = []  # S_k = sum_c w_kc n_kc, the products summed by math.fsum
+    drawn = []
     for k, r in enumerate(balls):
         at_least = [n_tr]  # draws of class >= c: one comparison per boundary
         for b in tables.bounds[k]:
             above = r >= b
             code += above * tables.strides[k]
             at_least.append(np.count_nonzero(above))
-        drawn = [a - b for a, b in zip(at_least, at_least[1:] + [0])]
-        sums.append(math.fsum(w * c for w, c in zip(tables.weights[k].tolist(), drawn)))
+        drawn.append([a - b for a, b in zip(at_least, at_least[1:] + [0])])
     counts = np.bincount(code, minlength=len(tables.code_work))
-    sums = np.array(sums)
-    mean_heats = np.asarray(tables.eps) * (np.roll(sums, 1) - sums) / n_tr
-    return _partial(tables.code_work[code], mean_heats, counts)
+    return _partial(tables.code_work[code], _mean_heats(tables, drawn, n_tr), counts)
 
 
 def _trial_stats(tables: _Tables, balls: np.ndarray) -> _Partial:
     """Chunk partial of any ring from its ball indices, trial by trial."""
     w = np.empty(balls.shape[::-1])
+    drawn = []
     for k, r in enumerate(balls):
-        w[:, k] = tables.weights[k][np.searchsorted(tables.bounds[k], r, side="right")]
-    heat_sums = np.empty(len(balls))
-    work, bad = _work_audit(tables, lambda k: w[:, k], heat_sums)
-    return _partial(work, heat_sums / len(work), _histogram(tables, work), int(np.count_nonzero(bad)))
+        classes = np.searchsorted(tables.bounds[k], r, side="right")
+        w[:, k] = tables.weights[k][classes]
+        drawn.append(np.bincount(classes, minlength=len(tables.weights[k])).tolist())
+    work, bad = _work_audit(tables, lambda k: w[:, k])
+    return _partial(work, _mean_heats(tables, drawn, len(work)), _histogram(tables, work),
+                    int(np.count_nonzero(bad)))
 
 
 def _merge(a: _Partial, b: _Partial) -> _Partial:
@@ -354,8 +354,9 @@ def compare_to_analytic(stats: EnsembleStats, spec: RingSpec) -> ComparisonRepor
     variance of the sample variance (via the analytic fourth moment) for the
     0/1 model.  When 2m <= 20 and the histogram has exact keys, the empirical
     distribution is compared to the enumerated one by total-variation
-    distance.  Deterministic rings (all f in {0,1}) have no defined z-scores;
-    they report an exact_match flag instead.
+    distance.  Deterministic rings (all f in {0,1}, or no altitude gap) have
+    no defined z-scores; they report an exact_match flag instead.  A work
+    variance that underflows a float is a domain error.
     """
     if len(stats.mean_heats) != len(spec.altitudes):
         raise ValueError("spec/stats mismatch")
@@ -371,22 +372,24 @@ def compare_to_analytic(stats: EnsembleStats, spec: RingSpec) -> ComparisonRepor
         ws = work_statistics_ring(spec)
         analytic_mean = ws.mean  # single-sum form, comparable for exact_match
         analytic_variance = ws.variance
-        if ws.variance > 0.0 and n > 1:
-            eps = spec.altitudes
-            f = spec.bernoulli_f
-            d = eps - np.roll(eps, -1)
-            # a power of two scales max |d_k| into [0.5, 1): exact, and d**4
-            # and variance**2 cannot overflow at extreme altitudes
-            e = -math.frexp(float(np.abs(d).max()))[1]
-            d = np.ldexp(d, e)
+        eps = spec.altitudes
+        f = spec.bernoulli_f
+        d = eps - np.roll(eps, -1)
+        # a power of two scales max |d_k| into [0.5, 1): exact, so the scaled
+        # variance cannot underflow, and d**4 and variance**2 cannot overflow
+        e = -math.frexp(float(np.abs(d).max()))[1]
+        d = np.ldexp(d, e)
+        pq = f * (1.0 - f)
+        if not float((d * d) @ pq) > 0.0:  # every f_k is 0 or 1, or no altitude gap
+            exact_match = stats.var_work == 0.0 and stats.mean_work == ws.mean
+        elif ws.variance == 0.0:  # underflowed, and the sample variance with it
+            raise ValueError("work variance too small for a float")
+        elif n > 1:
             var = math.ldexp(ws.variance, 2 * e)
-            pq = f * (1.0 - f)
             kappa4 = float((d**4) @ (pq * (1.0 - 6.0 * pq)))
             mu4 = kappa4 + 3.0 * var**2
             se_var = math.sqrt((mu4 - var**2 * (n - 3) / (n - 1)) / n)
             z_var = (math.ldexp(stats.var_work, 2 * e) - var) / se_var
-        elif ws.variance == 0.0:
-            exact_match = stats.var_work == 0.0 and stats.mean_work == ws.mean
         if 2**len(spec.altitudes) <= _CODES and stats.bin_width is None:
             values, probs = exact_work_distribution(spec)
             keys = np.fromiter(stats.histogram, dtype=float, count=len(stats.histogram))

@@ -29,21 +29,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import _EXPORTS
+
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "InverseTemperature",
-    "EntropyValue",
-    "beta_from_occupancy",
-    "occupancy",
-    "occupancy_np",
-    "softplus",
-    "entropy_s",
-    "entropy_equally_spaced",
-    "log_degeneracy",
-    "carnot_efficiency",
-]
+__all__ = _EXPORTS["thermo"]
 
 # comb() stays exact below this; above it log-gamma avoids bignum blowup
 _EXACT_COMB_LIMIT = 10_000
@@ -110,7 +101,7 @@ def occupancy_np(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def softplus(x: float) -> float:
+def _softplus(x: float) -> float:
     """ln(1 + exp(x)) without overflow for large |x|."""
     if x >= 0.0:
         return x + math.log1p(math.exp(-x))
@@ -119,7 +110,7 @@ def softplus(x: float) -> float:
 
 def _entropy(x: float, y: float) -> float:
     # raw float path; analytically >= 0, rounding may leave a ~ulp negative
-    raw = x * occupancy(y) + softplus(-x)
+    raw = x * occupancy(y) + _softplus(-x)
     return raw if raw > 0.0 else 0.0
 
 

@@ -27,13 +27,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Group",
-    "Reservoir",
-    "EngineRing",
-    "make_reservoir",
-    "two_level_ring",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["urn"]
 
 
 class Group(enum.Enum):

@@ -81,6 +81,13 @@ def test_work_statistics_requires_bernoulli():
         analytic.work_statistics_ring(spec)
 
 
+def test_work_statistics_general_validation():
+    with pytest.raises(ValueError, match="equal 1-d shapes"):
+        analytic.work_statistics_general([1.0, 2.0], [0.5, 0.5], [0.25])
+    with pytest.raises(ValueError, match="invalid population"):
+        analytic.work_statistics_general([1.0, 2.0], [0.5, 0.5], [0.25, -0.25])
+
+
 def test_ring_heats_telescope_to_work():
     eps = [1.0, 1.1, 3.6, 3.3]
     f = [0.2, 0.21, 0.18, 0.19]

@@ -107,6 +107,43 @@ def test_csv_header_and_order(capsys):
     assert float(rows[1][3]) == pytest.approx(0.37, abs=1e-12)
 
 
+# One invocation per subcommand with its CSV header: a scalar document's
+# columns are its inputs in flag order, then its outputs.
+CSV_HEADERS = {
+    "analytic otto": (OTTO, "eps_l,eps_h,N,n_l,n_h,W,eta,Q_l,Q_h,var_W,beta_l,beta_h,eta_carnot"),
+    "analytic ring": (["analytic", "ring", "--eps", "1,2", "--f-mean", "0.2,0.3", "--f", "0.2,0.3"],
+                      "eps,f_mean,f,Q_low,Q_high,W,mean_W,var_W,ratio"),
+    "analytic variance": (["analytic", "variance", "--eps", "1,2", "--f", "0.2,0.3"],
+                          "eps,f,mean_W,var_W,ratio"),
+    "thermo beta": (["thermo", "beta", "--n", "2", "--N", "10", "--eps", "1"], "n,N,eps,beta,temperature"),
+    "thermo occupancy": (["thermo", "occupancy", "--x", "0.5"], "x,f"),
+    "thermo entropy": (["thermo", "entropy", "--x", "0", "--levels", "3"], "x,y,levels,s"),
+    "thermo degeneracy": (["thermo", "degeneracy", "--N", "10", "--n", "3"], "N,n,log_degeneracy"),
+    "simulate": (["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "2", "--n-h", "3",
+                  "--N", "10", "--trials", "100", "--seed", "1"],
+                 "eps,n,N,trials,seed,workers,mean_W,var_W,stderr_W,mean_Q,conservation_violations,"
+                 "analytic_mean,analytic_variance,z_mean,z_var,tv_distance,exact_match,passed"),
+    "continuum heats": (["continuum", "heats", "--beta-l", "1.38", "--beta-h", "0.42",
+                         "--eps-l1", "1", "--eps-lm", "1.1", "--eps-h1", "3.6", "--eps-hm", "3.3"],
+                        "beta_l,beta_h,L1,Lm,H1,Hm,Q_l,Q_h,W,eta"),
+    "continuum reversible": (["continuum", "reversible", "--beta-l", "1.38", "--beta-h", "0.42",
+                              "--eps-l1", "1", "--eps-lm", "1.1"],
+                             "beta_l,beta_h,L1,Lm,W,eta,identity_residual"),
+    "continuum wmax": (["continuum", "wmax", "--beta-l", "1.38", "--beta-h", "0.42"], "beta_l,beta_h,W_max"),
+    "frontier": (["frontier", "--m", "1", "--beta-l", "1.38", "--beta-h", "0.42", "--target-w", "0.1"],
+                 "m,beta_l,beta_h,mode,target_W,W,eta,residual,evaluations,start_index,config"),
+    "region": (["region", "--m", "1", "--beta-l", "1.38", "--beta-h", "0.42",
+                "--samples", "5", "--eps-max", "5"], "W,eta,engine,config"),
+}
+
+
+@pytest.mark.parametrize("argv, header", CSV_HEADERS.values(), ids=CSV_HEADERS.keys())
+def test_csv_header_of_every_subcommand(argv, header, capsys):
+    code, out, err = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0, err
+    assert out.split("\r\n")[0] == header
+
+
 def test_csv_renders_none_as_empty(capsys):
     code, out, _ = run_cli(["analytic", "otto", "--eps-l", "1", "--eps-h", "2",
                             "--N", "100", "--n-l", "0", "--n-h", "30",
@@ -333,6 +370,9 @@ def test_frontier_echoes_the_optimizer_defaults(capsys, monkeypatch):
         fr.DEFAULT_TOL_W, fr.DEFAULT_BUDGET, fr.DEFAULT_STARTS)
 
 
+_REDUCED = ["--beta-l", "1.38", "--beta-h", "0.42", "--l1", "1.38", "--lm", "1.518"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["thermo", "occupancy", "--x", "nan"], "occupancy argument must not be NaN"),
     # the endpoint check names the flag before any occupancy sees the NaN
@@ -342,6 +382,23 @@ def test_frontier_echoes_the_optimizer_defaults(capsys, monkeypatch):
     (["analytic", "variance", "--eps", "1,1e308", "--f", "0.5,0.5"], "work statistics too large for a float"),
     # for 0/1 weights the excited fraction is the mean weight: two differing ones are no ring
     (["analytic", "ring", "--eps", "1,2", "--f-mean", "0.2,0.3", "--f", "0.5,0.9"], "invalid population"),
+    # one input form or the other, never parts of both
+    (["continuum", "heats", *_REDUCED, "--h1", "1.512", "--hm", "1.386", "--eps-h1", "3.6"],
+     "--l1/--lm/--h1/--hm and --eps-l1/--eps-lm/--eps-h1/--eps-hm are mutually exclusive"),
+    (["continuum", "reversible", *_REDUCED, "--eps-lm", "1.1"],
+     "--l1/--lm and --eps-l1/--eps-lm are mutually exclusive"),
+    (["simulate", "--eps", "1,2", "--n", "2,3", "--n-h", "3", "--N", "10", "--trials", "10", "--seed", "0"],
+     "--eps/--n and --eps-l/--eps-h/--n-l/--n-h are mutually exclusive"),
+    # and all of one form
+    (["continuum", "heats", *_REDUCED, "--h1", "1.512"],
+     "need all of --l1/--lm/--h1/--hm or all of --eps-l1/--eps-lm/--eps-h1/--eps-hm"),
+    (["continuum", "reversible", "--beta-l", "1.38", "--beta-h", "0.42", "--eps-l1", "1"],
+     "need all of --l1/--lm or all of --eps-l1/--eps-lm"),
+    (["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "2", "--N", "10", "--trials", "10", "--seed", "0"],
+     "need all of --eps/--n or all of --eps-l/--eps-h/--n-l/--n-h"),
+    # f = (0.2, 0.3) varies, but d_k^2 f_k (1 - f_k) underflows at 1e-320
+    (["simulate", "--eps", "1e-320,2e-320", "--n", "2,3", "--N", "10", "--trials", "1000", "--seed", "1"],
+     "work variance too small for a float"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_nan_inputs_exit_one(argv, message, capsys):

@@ -193,3 +193,9 @@ def test_discretized_ring_m1_is_two_reservoirs():
     spec = continuum.discretized_ring(ep, 1)
     assert spec.m == 1
     assert list(spec.altitudes) == [1.0, 2.0]
+
+
+def test_discretized_ring_needs_a_reservoir_per_side():
+    ep = continuum.CarnotEndpoints.from_altitudes(1.38, 0.42, 1.0, 1.0, 2.0, 2.0)
+    with pytest.raises(ValueError, match="ring must hold"):
+        continuum.discretized_ring(ep, 0)

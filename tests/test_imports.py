@@ -105,3 +105,8 @@ def test_star_import_binds_every_public_name():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         urnengine.no_such_name
+
+
+def test_each_home_module_exports_its_entry():
+    for module, names in urnengine._EXPORTS.items():
+        assert HOMES[module].__all__ == names, module

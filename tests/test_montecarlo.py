@@ -156,6 +156,34 @@ def test_deterministic_ring_reports_exact_match():
     assert report.passed
 
 
+def test_wrong_spec_fails_the_comparison():
+    stats = montecarlo.run_ensemble(otto_oracle_ring(), 20_000, seed=3)
+    # a mean off by 0.3 at the run's standard error
+    f = np.array([0.5, 0.3])
+    report = montecarlo.compare_to_analytic(stats, analytic.RingSpec([1.0, 2.0], f, f))
+    assert report.z_mean == pytest.approx(70.4, abs=0.1)
+    assert not report.passed
+    # a deterministic spec against varying draws
+    f = np.array([1.0, 1.0])
+    report = montecarlo.compare_to_analytic(stats, analytic.RingSpec([1.0, 2.0], f, f))
+    assert report.exact_match is False
+    assert not report.passed
+
+
+def test_underflowing_work_variance_is_a_domain_error():
+    # f = (0.2, 0.3): d_k^2 f_k (1 - f_k) underflows to 0 at 1e-320, and so
+    # does the sample variance
+    stats = montecarlo.run_ensemble(urn.two_level_ring([1e-320, 2e-320], [2, 3], 10), 1000, seed=1)
+    with pytest.raises(ValueError, match="work variance too small for a float"):
+        montecarlo.compare_to_analytic(stats, analytic.RingSpec([1e-320, 2e-320], [0.2, 0.3], [0.2, 0.3]))
+    # pinned weights, or no altitude gap, stay deterministic at any scale
+    for eps, n in (([1e-320, 2e-320], [0, 10]), ([1.0, 1.0], [3, 3])):
+        ring = urn.two_level_ring(eps, n, 10)
+        report = montecarlo.compare_to_analytic(montecarlo.run_ensemble(ring, 1000, seed=1),
+                                                montecarlo.ring_spec_of(ring))
+        assert report.exact_match is True and report.passed
+
+
 def test_multiclass_ring_binned_histogram():
     low = urn.make_reservoir(1.0, {0.0: 3, 0.5: 3, 1.0: 3}, urn.Group.LOW)
     high = urn.make_reservoir(2.0, {0.0: 2, 0.5: 4, 1.0: 3}, urn.Group.HIGH)
@@ -265,8 +293,8 @@ def test_code_path_matches_trial_path(ring):
         q = eps[:, None] * (np.roll(w, 1, axis=0) - w)
         exact = np.array([math.fsum(row) / (hi - lo) for row in q])
         np.testing.assert_allclose(fast.mean_heats, exact, rtol=1e-15, atol=0.0)
-        # the trial path sums heats in sequence: off by its own rounding only
-        assert np.all(np.abs(slow.mean_heats - exact) <= (hi - lo) * 2.0**-53 * eps)
+        # both paths take mean heats from the same class counts
+        assert np.array_equal(fast.mean_heats, slow.mean_heats)
 
 
 MIXED_RINGS = {
@@ -306,6 +334,7 @@ def test_class_code_path_matches_trial_path(ring):
         exact = np.array([math.fsum(row) / (hi - lo) for row in q])
         bound = 4 * 2.0**-53 * np.abs(q).sum(axis=1) / (hi - lo)
         assert np.all(np.abs(fast.mean_heats - exact) <= bound)
+        assert np.array_equal(fast.mean_heats, slow.mean_heats)
 
 
 @pytest.mark.parametrize("ring", MIXED_RINGS.values(), ids=MIXED_RINGS.keys())
@@ -407,12 +436,14 @@ def test_trial_path_matches_the_exchange_oracle(ring):
     tables.two_level = True  # exact histogram keys for any weights: compare value by value
     balls = montecarlo._ball_indices(tables, 6, 0, 3000)
     slow = montecarlo._trial_stats(tables, balls)
-    trials = [exchange_step(tables.eps, drawn) for drawn in _drawn_weights(ring, balls).T.tolist()]
+    drawn = _drawn_weights(ring, balls)
+    trials = [exchange_step(tables.eps, row) for row in drawn.T.tolist()]
     assert Counter(work for work, _, _ in trials) == slow.hist
     assert sum(violation for _, _, violation in trials) == slow.violations
-    # heats summed trial by trial, in sequence
-    heat_sums = np.cumsum([heats for _, heats, _ in trials], axis=0)[-1]
-    assert np.array_equal(heat_sums / len(trials), slow.mean_heats)
+    # correctly rounded sums of the drawn weights per reservoir, exact for
+    # weights 0, 1 and 2.5, give the mean heats eps_k (S_{k-1} - S_k) / n
+    sums = np.array([math.fsum(row) for row in drawn.tolist()])
+    assert np.array_equal(np.asarray(tables.eps) * (np.roll(sums, 1) - sums) / len(trials), slow.mean_heats)
 
 
 def test_z_var_is_exact_under_power_of_two_altitudes():

@@ -62,6 +62,16 @@ def test_two_level_ring_shape():
     assert ring.reservoirs[1].group is urn.Group.HIGH
 
 
+def test_two_level_ring_validation():
+    with pytest.raises(ValueError, match="equal length"):
+        urn.two_level_ring([1.0, 2.0], [2], 10)
+    with pytest.raises(ValueError, match="ring must hold"):
+        urn.two_level_ring([1.0, 2.0, 3.0], [2, 3, 4], 10)
+    for excited in ([-1, 3], [2, 11]):
+        with pytest.raises(ValueError, match="invalid population"):
+            urn.two_level_ring([1.0, 2.0], excited, 10)
+
+
 def test_ring_validation():
     r1 = urn.make_reservoir(1.0, {0.0: 5, 1.0: 5}, urn.Group.LOW)
     with pytest.raises(ValueError, match="ring must hold"):
