@@ -20,9 +20,9 @@ import csv
 import json
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Any
 
 from . import __version__
@@ -33,14 +33,14 @@ __all__ = ["main", "build_parser"]
 @dataclass
 class CommandResult:
     """A command's document: JSON ``inputs`` and ``outputs``, and a table of
-    ``columns`` with one sequence of ``cells`` per column.  CSV writes the
-    table; JSON writes it as outputs["points"] when ``points`` is set, and
-    the seed at top level when the inputs hold one."""
+    ``columns`` given as row ``blocks``, each one sequence of cells per column.
+    CSV writes the table; JSON writes it as outputs["points"] when ``points``
+    is set, and the seed at top level when the inputs hold one."""
 
     inputs: dict[str, Any]
     outputs: dict[str, Any]
     columns: list[str]
-    cells: list[Sequence[Any]]
+    blocks: Iterable[list[Sequence[Any]]]
     points: bool = False
 
 
@@ -129,14 +129,15 @@ def _column(values: Sequence[Any], fmt: str, pad: str) -> list[str]:
 
 
 def _emit(result: CommandResult, fmt: str, output: str | None) -> None:
-    """Write the document, streaming the table row by row: CSV rows through
+    """Write the document, streaming the table block by block: CSV rows through
     csv.writer, JSON rows through a template of the points array that json.dumps
     (sort_keys=True, indent=2) writes for the rest of the document."""
     with contextlib.nullcontext(sys.stdout) if output is None else open(output, "w", newline="") as fh:
         if fmt == "csv":
             writer = csv.writer(fh)
             writer.writerow(result.columns)
-            writer.writerows(zip(*(_column(col, fmt, "") for col in result.cells)))
+            for block in result.blocks:
+                writer.writerows(zip(*(_column(col, fmt, "") for col in block)))
             return
         doc = {"inputs": _jsonable(result.inputs), "outputs": _jsonable(result.outputs),
                "version": __version__}
@@ -145,15 +146,17 @@ def _emit(result: CommandResult, fmt: str, output: str | None) -> None:
         if result.points:
             doc["outputs"]["points"] = []
         head, points, tail = (json.dumps(doc, sort_keys=True, indent=2) + "\n").partition('"points": []')
-        if result.points and result.cells[0]:
+        if result.points:
             pad = head[head.rfind("\n") + 1:] + "  "
             order = sorted(range(len(result.columns)), key=result.columns.__getitem__)
             keys = ",\n".join(f"{pad}  {json.dumps(result.columns[k])}: %s" for k in order)
             template = f"{pad}{{\n{keys}\n{pad}}}"
-            rows = zip(*(_column(result.cells[k], fmt, pad + "  ") for k in order))
-            fh.write(head + '"points": [\n' + template % next(rows))
-            fh.writelines(map((",\n" + template).__mod__, rows))
-            head, points = "", f"\n{pad[:-2]}]"
+            rows = chain.from_iterable(zip(*(_column(block[k], fmt, pad + "  ") for k in order))
+                                       for block in result.blocks)
+            for row in islice(rows, 1):  # unless the table is empty
+                fh.write(head + '"points": [\n' + template % row)
+                fh.writelines(map((",\n" + template).__mod__, rows))
+                head, points = "", f"\n{pad[:-2]}]"
         fh.write(head + points + tail)
 
 
@@ -162,7 +165,7 @@ def _scalar_result(inputs: dict[str, Any], outputs: dict[str, Any]) -> CommandRe
     # echoed input wins and the column appears once
     row = {**{k: v for k, v in outputs.items() if not isinstance(v, dict)}, **inputs}
     columns = list(inputs) + [k for k in row if k not in inputs]
-    return CommandResult(inputs=inputs, outputs=outputs, columns=columns, cells=[[row[k]] for k in columns])
+    return CommandResult(inputs=inputs, outputs=outputs, columns=columns, blocks=[[[row[k]] for k in columns]])
 
 
 def _option(dest: str) -> str:
@@ -366,7 +369,7 @@ def _handle_frontier(args: argparse.Namespace) -> CommandResult:
     fields = ("target_work", "work", "eta", "residual", "evaluations", "start_index", "config")
     cells = [[v] * len(points) for v in (inputs["m"], args.beta_l, args.beta_h, args.mode)]
     cells += [[getattr(p, f) for p in points] for f in fields]
-    return CommandResult(inputs=inputs, outputs={}, columns=_FRONTIER_COLUMNS, cells=cells, points=True)
+    return CommandResult(inputs=inputs, outputs={}, columns=_FRONTIER_COLUMNS, blocks=[cells], points=True)
 
 
 _REGION_COLUMNS = ["W", "eta", "engine", "config"]
@@ -374,13 +377,11 @@ _REGION_COLUMNS = ["W", "eta", "engine", "config"]
 
 def _handle_region(args: argparse.Namespace) -> CommandResult:
     from . import frontier
-    sample = frontier.sample_region(
-        args.m, args.beta_l, args.beta_h, args.samples, args.eps_max, args.seed
-    )
-    cells = [sample.work.tolist(),
-             [e if math.isfinite(e) else None for e in sample.efficiency.tolist()],
-             sample.engine.tolist(), sample.eps.tolist()]
-    return CommandResult(inputs=_echo(args), outputs={}, columns=_REGION_COLUMNS, cells=cells, points=True)
+    # the arguments are checked here, so a domain error comes before any output
+    arrays = frontier._region_blocks(args.m, args.beta_l, args.beta_h, args.samples, args.eps_max, args.seed)
+    blocks = ([w.tolist(), [e if math.isfinite(e) else None for e in eta.tolist()], g.tolist(), eps.tolist()]
+              for w, eta, g, eps in arrays)
+    return CommandResult(inputs=_echo(args), outputs={}, columns=_REGION_COLUMNS, blocks=blocks, points=True)
 
 
 # ---------------------------------------------------------------- parser

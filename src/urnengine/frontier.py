@@ -54,6 +54,7 @@ _PENALTY_CAP = 1e12
 _FLOOR = 1e-9  # altitudes and endpoint magnitudes stay strictly positive
 _TIE = 1e-12
 _CARNOT_LM = 40.0  # the exact continuum path's last cold reduced endpoint
+_BLOCK_ROWS = 4096  # region rows drawn and evaluated at a time
 
 DEFAULT_TOL_W = 1e-4
 DEFAULT_BUDGET = 200_000  # objective evaluations per start
@@ -119,6 +120,24 @@ def evaluate_configs(
     return work, _efficiency(work, q_high), q_high < 0.0
 
 
+def _region_blocks(m: int, beta_l: float, beta_h: float, samples: int, eps_max: float, seed: int):
+    """Check the arguments, then return an iterator over sample_region's rows as
+    (work, eta, engine, eps) blocks of _BLOCK_ROWS rows.  The draws continue one
+    stream and every kernel acts row by row, so the bits match a one-shot draw."""
+    if m < 1:
+        raise ValueError("ring must hold 2m >= 2 reservoirs")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if not (math.isfinite(eps_max) and eps_max * 2.0**-53 > 0.0):  # the least draw: 1 - u >= 2**-53
+        raise ValueError("invalid altitude: eps_max must be finite and above 2**-1022")
+    if not (math.isfinite(beta_l) and math.isfinite(beta_h)):
+        raise ValueError("beta must be finite")
+    rng = np.random.default_rng(_checked_seed(seed))
+    draws = (eps_max * (1.0 - rng.random((min(_BLOCK_ROWS, samples - start), 2 * m)))
+             for start in range(0, samples, _BLOCK_ROWS))
+    return ((*evaluate_configs(beta_l, beta_h, eps), eps) for eps in draws)
+
+
 def sample_region(
     m: int,
     beta_l: float,
@@ -129,21 +148,18 @@ def sample_region(
 ) -> RegionSample:
     """Uniform scatter of the attainable region for an m-sub-reservoir ring.
 
-    Altitudes are uniform in (0, eps_max]^{2m}.  Non-engine points (heat not
-    leaving the hot side) are flagged, not dropped.
+    Altitudes are uniform in (0, eps_max]^{2m}; eps_max must exceed 2**-1022.
+    Non-engine points (heat not leaving the hot side) are flagged, not dropped.
     """
-    if m < 1:
-        raise ValueError("ring must hold 2m >= 2 reservoirs")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not (eps_max > 0.0) or not math.isfinite(eps_max):
-        raise ValueError("invalid altitude")
-    rng = np.random.default_rng(_checked_seed(seed))
-    eps = eps_max * (1.0 - rng.random((samples, 2 * m)))
-    work, eta, engine = evaluate_configs(beta_l, beta_h, eps)
-    for arr in (work, eta, engine, eps):
+    blocks = _region_blocks(m, beta_l, beta_h, samples, eps_max, seed)
+    arrays = (np.empty(samples), np.empty(samples), np.empty(samples, bool),
+              np.empty((samples, 2 * m)))
+    for start, block in zip(range(0, samples, _BLOCK_ROWS), blocks):
+        for arr, part in zip(arrays, block):
+            arr[start:start + _BLOCK_ROWS] = part
+    for arr in arrays:
         arr.flags.writeable = False
-    return RegionSample(work=work, efficiency=eta, engine=engine, eps=eps)
+    return RegionSample(*arrays)
 
 
 def _regime_ok(w: float, q_high: float, pump: bool) -> bool:
@@ -373,13 +389,15 @@ def _check_targets(targets, tol_w: float) -> None:
 
 
 def _check_pump_max(m: int | None, beta_l: float, beta_h: float, targets, mode: Mode) -> None:
-    """MAX-mode pump targets of an m >= 2 ring with positive betas have no maximum:
-    work can go into the cold side while the hot sub-reservoirs' heats cancel, so
-    eta = W/(-Q_h) grows without bound as Q_h -> 0+ at fixed W < 0."""
-    if (m is not None and m >= 2 and Mode(mode) is Mode.MAX and beta_l > 0.0
+    """MAX-mode pump targets of a ring with positive betas have no maximum: at m >= 2
+    the hot sub-reservoirs' heats can cancel, so eta = W/(-Q_h) grows without bound
+    as Q_h -> 0+; at m = 1 eta = 1 - eps_l/eps_h tends to 1 as eps_l/eps_h -> 0."""
+    if (m is not None and Mode(mode) is Mode.MAX and beta_l > 0.0
             and beta_h > 0.0 and any(t < 0.0 for t in targets)):
-        raise ValueError("no maximum efficiency for heat-pump targets (W < 0) at m >= 2 "
-                         "with positive betas: eta = W/(-Q_h) is unbounded; use mode min")
+        at, why = (("= 1", "= 1 - eps_l/eps_h tends to 1 but never attains it") if m == 1
+                   else (">= 2", "is unbounded"))
+        raise ValueError(f"no maximum efficiency for heat-pump targets (W < 0) at m {at} "
+                         f"with positive betas: eta = W/(-Q_h) {why}; use mode min")
 
 
 def _extremize(problem, target_work: float, mode: Mode, tol_w: float, budget: int,
@@ -436,8 +454,8 @@ def optimize_efficiency(
     """Extremal efficiency of an m-sub-reservoir ring at fixed work.
 
     Raises "infeasible or budget too small" when no start reaches the work
-    constraint within tolerance, and a domain error for a MAX pump target at
-    m >= 2 with positive betas, where no maximum exists.
+    constraint within tolerance, and a domain error for a MAX pump target with
+    positive betas, where no maximum exists.
     """
     problem = _ring_problem(m, beta_l, beta_h, init_extent)
     _check_targets([target_work], tol_w)

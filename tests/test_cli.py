@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -351,6 +352,9 @@ def test_frontier_rejects_ambiguous_targets(capsys):
     ("2", ["--beta-l", "1.38", "--target-w", "-0.05"],
      "no maximum efficiency for heat-pump targets (W < 0) at m >= 2 with positive betas: "
      "eta = W/(-Q_h) is unbounded; use mode min"),
+    ("1", ["--beta-l", "1.38", "--target-w", "-0.05"],
+     "no maximum efficiency for heat-pump targets (W < 0) at m = 1 with positive betas: "
+     "eta = W/(-Q_h) = 1 - eps_l/eps_h tends to 1 but never attains it; use mode min"),
 ])
 def test_frontier_domain_errors_exit_one_with_json(m, flags, message, capsys):
     argv = ["frontier", "--m", m, "--beta-h", "0.42", "--target-w", "0.1",
@@ -539,7 +543,7 @@ def test_region_writer_matches_dict_rows(fmt, tmp_path, monkeypatch):
     engine = np.array([True, False, True, True, False, True, False, False])
     eps = np.array([np.roll(_EDGE, k)[:6] for k in range(8)])  # m = 3
     sample = fr.RegionSample(work=work, efficiency=eta, engine=engine, eps=eps)
-    monkeypatch.setattr(fr, "sample_region", lambda *args: sample)
+    monkeypatch.setattr(fr, "_region_blocks", lambda *args: iter([(work, eta, engine, eps)]))
     argv = ["region", "--m", "3", "--beta-l", "1.38", "--beta-h", "0.42", "--samples", "8",
             "--eps-max", "1e308", "--seed", "5", "--format", fmt]
     rows = [
@@ -550,6 +554,56 @@ def test_region_writer_matches_dict_rows(fmt, tmp_path, monkeypatch):
     expected = _reference_document(fmt, _inputs(argv), {"points": rows}, 5,
                                    ["W", "eta", "engine", "config"], rows)
     assert _written(argv, tmp_path) == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("samples", [1, 3, 8, 9])
+def test_region_document_is_the_same_across_block_boundaries(samples, fmt, tmp_path, monkeypatch):
+    # three-row blocks: one partial block, one full, several with a partial tail
+    sample = fr.sample_region(2, 1.38, 0.42, samples, 5.0, seed=2)
+    monkeypatch.setattr(fr, "_BLOCK_ROWS", 3)
+    argv = ["region", "--m", "2", "--beta-l", "1.38", "--beta-h", "0.42", "--samples", str(samples),
+            "--eps-max", "5", "--seed", "2", "--format", fmt]
+    rows = [
+        {"W": w, "eta": None if math.isnan(e) else e, "engine": g, "config": c}
+        for w, e, g, c in zip(sample.work.tolist(), sample.efficiency.tolist(),
+                              sample.engine.tolist(), sample.eps.tolist())
+    ]
+    expected = _reference_document(fmt, _inputs(argv), {"points": rows}, 2,
+                                   ["W", "eta", "engine", "config"], rows)
+    assert _written(argv, tmp_path) == expected
+
+
+def _region_peak(samples, tmp_path):
+    argv = ["region", "--m", "1", "--beta-l", "1.38", "--beta-h", "0.42", "--samples", str(samples),
+            "--eps-max", "10", "--seed", "1", "--output", str(tmp_path / "doc.json")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_region_memory_does_not_grow_with_samples(tmp_path):
+    # the table streams in row blocks (CSV takes the same path): holding every
+    # row as Python objects would add tens of MB between these two runs
+    small, large = _region_peak(10_000, tmp_path), _region_peak(100_000, tmp_path)
+    assert large - small < 2 * 2**20, (small, large)
+
+
+@pytest.mark.parametrize("eps_max", ["1e-320", "1e-310", "2.2250738585072014e-308"])
+@pytest.mark.parametrize("samples", ["1", "2", "30000"])
+def test_region_eps_max_rule_holds_at_every_sample_count(eps_max, samples, tmp_path, capsys):
+    # a draw eps_max*(1-u) reaches 2**-53 eps_max, which underflows to 0 at and
+    # below eps_max = 2**-1022: an error whatever the number of draws
+    path = tmp_path / "doc"
+    code, out, err = run_cli(["region", "--m", "1", "--beta-l", "1.38", "--beta-h", "0.42",
+                              "--samples", samples, "--eps-max", eps_max, "--output", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "eps_max must be finite and above 2**-1022" in json.loads(err)["error"]
+    assert not path.exists()  # the error comes before the document is opened
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -112,6 +112,28 @@ def test_region_validation():
         frontier.sample_region(0, BL, BH, 10, 5.0, seed=1)
 
 
+B = frontier._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("samples", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_region_blocks_match_a_one_shot_draw(samples):
+    sample = frontier.sample_region(2, BL, BH, samples, 5.0, seed=9)
+    eps = 5.0 * (1.0 - np.random.default_rng(9).random((samples, 4)))
+    expected = (*frontier.evaluate_configs(BL, BH, eps), eps)
+    for got, want in zip((sample.work, sample.efficiency, sample.engine, sample.eps), expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_region_eps_max_must_exceed_the_smallest_normal():
+    # the smallest draw is eps_max * 2**-53; from 2**-1022 down it underflows to 0
+    for eps_max in (1e-320, 1e-310, 2.0**-1022, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"eps_max must be finite and above 2\*\*-1022"):
+            frontier.sample_region(1, BL, BH, 1, eps_max, seed=1)
+    eps_max = math.nextafter(2.0**-1022, 1.0)
+    assert frontier.sample_region(1, BL, BH, 10, eps_max, seed=1).eps.min() > 0.0
+
+
 def test_region_deterministic():
     a = frontier.sample_region(1, BL, BH, 100, 5.0, seed=4)
     b = frontier.sample_region(1, BL, BH, 100, 5.0, seed=4)
@@ -451,19 +473,40 @@ def test_m2_pump_efficiency_has_no_maximum(beta_l, beta_h):
     assert w / -q_high > 1e6
 
 
+@pytest.mark.parametrize("beta_l, beta_h", PUMP_BETAS)
+def test_m1_pump_efficiency_has_no_maximum(beta_l, beta_h):
+    # eta = 1 - r at r = eps_l/eps_h, and at every r a hot altitude e puts the
+    # pump on W = -0.05: eta tends to 1 as r -> 0 but r > 0 keeps it below
+    def heats(r, e):
+        return analytic.mean_heats_ring(analytic.equilibrium_ring(beta_l, beta_h, [r * e], [e]))
+
+    for r in (1e-2, 1e-4, 1e-8):
+        lo, hi = 1e-6, 1e6
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if heats(r, mid)[2] > -0.05 else (lo, mid)
+        _, q_high, w = heats(r, hi)
+        assert abs(w + 0.05) <= frontier.DEFAULT_TOL_W
+        assert q_high > 0.0
+        assert w / -q_high == pytest.approx(1.0 - r, abs=1e-12)
+
+
 PUMP_MESSAGE = "no maximum efficiency for heat-pump targets"
 
 
 def test_m2_max_pump_is_a_domain_error_before_any_start(monkeypatch):
     _no_search(monkeypatch)
-    for beta_l, beta_h in PUMP_BETAS:
-        with pytest.raises(ValueError, match=PUMP_MESSAGE):
-            frontier.optimize_efficiency(2, beta_l, beta_h, -0.05)
+    for m in (1, 2):
+        for beta_l, beta_h in PUMP_BETAS:
+            with pytest.raises(ValueError, match=PUMP_MESSAGE):
+                frontier.optimize_efficiency(m, beta_l, beta_h, -0.05)
     # a curve rejects the whole grid before solving its engine targets
-    with pytest.raises(ValueError, match=PUMP_MESSAGE):
-        frontier.frontier_curve(3, BL, BH, np.array([0.1, -0.05]))
-    # min mode, m=1 and other beta signs keep the search
-    for m, beta_l, beta_h, mode in [(2, BL, BH, "min"), (1, BL, BH, "max"),
-                                    (2, -0.5, -1.0, "max"), (2, 1.0, -0.5, "max")]:
+    for m in (1, 3):
+        with pytest.raises(ValueError, match=PUMP_MESSAGE):
+            frontier.frontier_curve(m, BL, BH, np.array([0.1, -0.05]))
+    # min mode and other beta signs keep the search
+    for m, beta_l, beta_h, mode in [(2, BL, BH, "min"), (1, BL, BH, "min"),
+                                    (2, -0.5, -1.0, "max"), (2, 1.0, -0.5, "max"),
+                                    (1, -0.5, -1.0, "max"), (1, 1.0, -0.5, "max")]:
         with pytest.raises(AssertionError, match="the multistart search ran"):
             frontier.optimize_efficiency(m, beta_l, beta_h, -0.05, mode)
