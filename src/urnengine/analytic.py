@@ -143,8 +143,12 @@ def _equilibrium_weights(beta_l: float, beta_h: float, eps: np.ndarray) -> np.nd
 
 
 def mean_heats_ring(spec: RingSpec) -> tuple[float, float, float]:
-    """Group heats (Q_low, Q_high) and mean work W = -(Q_low + Q_high)."""
-    return _ring_heats(spec.altitudes.tolist(), spec.mean_weights.tolist())
+    """Group heats (Q_low, Q_high) and mean work W = -(Q_low + Q_high); one
+    that overflows a float is a domain error."""
+    heats = _ring_heats(spec.altitudes.tolist(), spec.mean_weights.tolist())
+    if not all(map(math.isfinite, heats)):
+        raise ValueError("mean heats too large for a float")
+    return heats
 
 
 def work_statistics_ring(spec: RingSpec) -> WorkStatistics:

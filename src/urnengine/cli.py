@@ -9,7 +9,10 @@ the interface and stays stable.  Identical invocations produce byte-identical
 documents.
 
 Exit codes: 0 success, 1 domain error (structured JSON message on stderr),
-2 usage error (argparse).  Reduced units (k_B = 1) are the only unit system.
+2 usage error (argparse: a missing or unknown flag).  Each input has one
+spelling: ``simulate`` takes the ring (``--eps``/``--n``), ``continuum
+heats|reversible`` reduced endpoints (beta*eps).  Reduced units (k_B = 1) are
+the only unit system.
 """
 
 from __future__ import annotations
@@ -177,18 +180,6 @@ def _echo(args: argparse.Namespace) -> dict[str, Any]:
     return {dest: getattr(args, dest) for dest in args.flags}
 
 
-def _form(args: argparse.Namespace, first: tuple[str, ...], second: tuple[str, ...]) -> bool:
-    """True when every flag of ``first`` is given and none of ``second``,
-    False for the reverse; any other mix is a domain error."""
-    names = ["/".join(map(_option, form)) for form in (first, second)]
-    given = [[getattr(args, dest) is not None for dest in form] for form in (first, second)]
-    if any(given[0]) and any(given[1]):
-        raise ValueError(f"{names[0]} and {names[1]} are mutually exclusive")
-    if not (all(given[0]) or all(given[1])):
-        raise ValueError(f"need all of {names[0]} or all of {names[1]}")
-    return all(given[0])
-
-
 # ---------------------------------------------------------------- handlers
 
 
@@ -266,20 +257,12 @@ def _handle_thermo_degeneracy(args: argparse.Namespace) -> CommandResult:
 
 
 def _handle_simulate(args: argparse.Namespace) -> CommandResult:
-    from . import montecarlo, urn
-    if (args.eps is None) != (args.n is None):
-        raise ValueError("ring mode needs both --eps and --n")
-    if _form(args, ("eps", "n"), ("eps_l", "eps_h", "n_l", "n_h")):
-        altitudes, excited = args.eps, args.n
-    else:
-        altitudes, excited = [args.eps_l, args.eps_h], [args.n_l, args.n_h]
-    inputs = {
-        "eps": list(altitudes), "n": [int(v) for v in excited], "N": args.N,
-        "trials": args.trials, "seed": args.seed, "workers": args.workers,
-    }
-    ring = urn.two_level_ring(altitudes, excited, args.N)
+    from . import analytic, montecarlo, urn
+    ring = urn.two_level_ring(args.eps, args.n, args.N)
+    spec = montecarlo.ring_spec_of(ring)
+    analytic.work_statistics_ring(spec)  # an overflowing closed form fails before any draw
     stats = montecarlo.run_ensemble(ring, args.trials, args.seed, workers=args.workers)
-    report = montecarlo.compare_to_analytic(stats, montecarlo.ring_spec_of(ring))
+    report = montecarlo.compare_to_analytic(stats, spec)
     outputs: dict[str, Any] = {
         "trials": stats.trials,
         "mean_W": stats.mean_work,
@@ -296,25 +279,14 @@ def _handle_simulate(args: argparse.Namespace) -> CommandResult:
         "exact_match": report.exact_match,
         "passed": report.passed,
     }
-    return _scalar_result(inputs, outputs)
+    return _scalar_result(_echo(args), outputs)
 
 
 def _handle_continuum_heats(args: argparse.Namespace) -> CommandResult:
     from . import continuum
-    if _form(args, ("l1", "lm", "h1", "hm"), ("eps_l1", "eps_lm", "eps_h1", "eps_hm")):
-        ep = continuum.CarnotEndpoints(
-            beta_l=args.beta_l, beta_h=args.beta_h,
-            cold_first=args.l1, cold_last=args.lm,
-            hot_first=args.h1, hot_last=args.hm,
-        )
-    else:
-        ep = continuum.CarnotEndpoints.from_altitudes(
-            args.beta_l, args.beta_h, args.eps_l1, args.eps_lm, args.eps_h1, args.eps_hm
-        )
-    inputs = {
-        "beta_l": args.beta_l, "beta_h": args.beta_h,
-        "L1": ep.cold_first, "Lm": ep.cold_last, "H1": ep.hot_first, "Hm": ep.hot_last,
-    }
+    inputs = {"beta_l": args.beta_l, "beta_h": args.beta_h,
+              "L1": args.l1, "Lm": args.lm, "H1": args.h1, "Hm": args.hm}
+    ep = continuum.CarnotEndpoints(args.beta_l, args.beta_h, args.l1, args.lm, args.h1, args.hm)
     res = continuum.continuum_heats(ep)
     outputs = {
         "Q_l": res.heat_low, "Q_h": res.heat_high, "W": res.work, "eta": res.efficiency,
@@ -324,13 +296,10 @@ def _handle_continuum_heats(args: argparse.Namespace) -> CommandResult:
 
 def _handle_continuum_reversible(args: argparse.Namespace) -> CommandResult:
     from . import continuum
-    if _form(args, ("l1", "lm"), ("eps_l1", "eps_lm")):
-        l1, lm = args.l1, args.lm
-    else:
-        l1, lm = args.beta_l * args.eps_l1, args.beta_l * args.eps_lm
-    inputs = {"beta_l": args.beta_l, "beta_h": args.beta_h, "L1": l1, "Lm": lm}
-    res = continuum.continuum_heats(continuum.reversible_endpoints(args.beta_l, args.beta_h, l1, lm))
-    w, eta = continuum.reversible_work(args.beta_l, args.beta_h, l1, lm)
+    inputs = {"beta_l": args.beta_l, "beta_h": args.beta_h, "L1": args.l1, "Lm": args.lm}
+    cycle = (args.beta_l, args.beta_h, args.l1, args.lm)
+    res = continuum.continuum_heats(continuum.reversible_endpoints(*cycle))
+    w, eta = continuum.reversible_work(*cycle)
     outputs = {"W": w, "eta": eta,
                "identity_residual": args.beta_l * res.heat_low + args.beta_h * res.heat_high}
     return _scalar_result(inputs, outputs)
@@ -430,17 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
              N=int, n=int)
 
     _command(sub, "simulate", "Monte Carlo ensemble of 0/1-weight cycles", _handle_simulate,
-             eps_l=opt_float, eps_h=opt_float, n_l=opt_int, n_h=opt_int,
-             eps={"type": _float_list, "help": "ring altitudes, low half first"},
-             n={"type": _int_list, "help": "ring excited counts"},
+             eps={"type": _float_list, "required": True, "help": "ring altitudes, low half first"},
+             n={"type": _int_list, "required": True, "help": "ring excited counts"},
              N=int, trials=int, seed=int, workers={"type": int, "default": 1})
 
     continuum = group("continuum", "reversible-limit cycles")
     cold = dict(beta_l=float, beta_h=float,
-                l1={"type": float, "help": "reduced cold start beta_l*eps"},
-                lm={"type": float, "help": "reduced cold end"}, eps_l1=opt_float, eps_lm=opt_float)
+                l1={"type": float, "required": True, "help": "reduced cold start beta_l*eps"},
+                lm={"type": float, "required": True, "help": "reduced cold end"})
     _command(continuum, "heats", "branch heats at arbitrary endpoints", _handle_continuum_heats,
-             **cold, h1=opt_float, hm=opt_float, eps_h1=opt_float, eps_hm=opt_float)
+             **cold, h1=float, hm=float)
     _command(continuum, "reversible", "matched-endpoint Carnot cycle", _handle_continuum_reversible, **cold)
     _command(continuum, "wmax", "supremum of the reversible work", _handle_continuum_wmax,
              beta_l=float, beta_h=float)

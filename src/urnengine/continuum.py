@@ -157,13 +157,17 @@ def reversible_work(
     Matching means hot_last = cold_first and hot_first = cold_last in reduced
     units, so W = (1/beta_h - 1/beta_l)(s(cold_first) - s(cold_last)) and the
     efficiency is the Carnot value; beta_l*Q_l + beta_h*Q_h = 0.  The
-    endpoints are validated as ``reversible_endpoints`` validates them.
+    endpoints are validated as ``reversible_endpoints`` validates them; a W
+    or eta that overflows a float, as at a beta near 0, is a domain error.
     """
     ep = reversible_endpoints(beta_l, beta_h, cold_first, cold_last)
     w = (1.0 / ep.beta_h - 1.0 / ep.beta_l) * (
         _entropy(ep.cold_first, ep.cold_first) - _entropy(ep.cold_last, ep.cold_last)
     )
-    return w, carnot_efficiency(ep.beta_l, ep.beta_h)
+    eta = carnot_efficiency(ep.beta_l, ep.beta_h)
+    if not (math.isfinite(w) and math.isfinite(eta)):
+        raise ValueError("reversible work or efficiency too large for a float")
+    return w, eta
 
 
 def reversible_endpoints(
@@ -182,9 +186,13 @@ def reversible_endpoints(
 
 
 def max_reversible_work(beta_l: float, beta_h: float) -> float:
-    """Supremum (1/beta_h - 1/beta_l) * ln 2 of the reversible work."""
+    """Supremum (1/beta_h - 1/beta_l) * ln 2 of the reversible work; one that
+    overflows a float is a domain error."""
     bl, bh = _matched_betas(beta_l, beta_h)
-    return (1.0 / bh - 1.0 / bl) * math.log(2.0)
+    w = (1.0 / bh - 1.0 / bl) * math.log(2.0)
+    if not math.isfinite(w):
+        raise ValueError("reversible work too large for a float")
+    return w
 
 
 def discretized_ring(ep: CarnotEndpoints, m: int) -> RingSpec:

@@ -193,11 +193,8 @@ def _histogram(tables: _Tables, work: np.ndarray, counts: np.ndarray | None = No
     if not tables.two_level and width > 0.0:
         idx = np.clip(((work - s_lo) / width).astype(np.int64), 0, _HIST_BINS - 1)
         return np.bincount(idx, weights=counts, minlength=_HIST_BINS)
-    if counts is None:
-        vals, keyed = np.unique(work, return_counts=True)
-    else:
-        vals, inverse = np.unique(work, return_inverse=True)
-        keyed = np.bincount(inverse, weights=counts)
+    vals, inverse = np.unique(work, return_inverse=True)
+    keyed = np.bincount(inverse, weights=counts)
     return {float(v): int(c) for v, c in zip(vals, keyed)}
 
 

@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 
 __all__ = _EXPORTS["thermo"]
 
-# comb() stays exact below this; above it log-gamma avoids bignum blowup
+# comb() stays exact up to this N; above it Stirling's series avoids bignum blowup
 _EXACT_COMB_LIMIT = 10_000
 _LN2 = math.log(2.0)
 
@@ -186,13 +186,30 @@ def beta_from_occupancy(n: int, N: int, eps: float) -> InverseTemperature:
     return InverseTemperature(math.log((N - n) / n) / eps)
 
 
+def _stirling_tail(t: float) -> float:
+    """ln x! - [(x + 1/2) ln x - x + ln(2 pi)/2] at t = 1/x, for x >= 5,000."""
+    t2 = t * t
+    return t * (1.0 / 12.0 - t2 * (1.0 / 360.0 - t2 / 1260.0))
+
+
 def log_degeneracy(N: int, n: int) -> float:
-    """ln of the number of ways to excite n out of N distinguishable systems."""
+    """ln of the number of ways to excite n out of N distinguishable systems.
+
+    Above ``_EXACT_COMB_LIMIT``, with k = min(n, N - n) and M = N - k, Stirling's
+    series gives ln(N!/M!) = k ln N - (M + 1/2) log1p(-k/N) - k + tail(N) - tail(M),
+    which, unlike ln N! - ln M!, keeps its digits when k << N."""
     if N < 0 or n < 0 or n > N:
         raise ValueError("invalid occupation")
     if N <= _EXACT_COMB_LIMIT:
         return math.log(math.comb(N, n))
-    return math.lgamma(N + 1) - math.lgamma(n + 1) - math.lgamma(N - n + 1)
+    k = min(n, N - n)
+    M = N - k
+    try:
+        falling = (k * math.log(N) - (M + 0.5) * math.log1p(-k / N) - k
+                   + _stirling_tail(1 / N) - _stirling_tail(1 / M))
+    except OverflowError:
+        raise ValueError("occupation too large for a float") from None
+    return falling - math.lgamma(k + 1)
 
 
 def carnot_efficiency(beta_l: InverseTemperature | float, beta_h: InverseTemperature | float) -> float:

@@ -39,6 +39,13 @@ def test_otto_pump_sign():
     assert analytic.mean_heats_ring(spec)[2] == pytest.approx(-0.1, abs=1e-15)
 
 
+def test_mean_heats_overflow_is_a_domain_error():
+    # Q_high = 2 * (0.2 - 1e308) overflows to -inf, and W to inf
+    spec = analytic.RingSpec(altitudes=[1.0, 2.0], mean_weights=[0.2, 1e308])
+    with pytest.raises(ValueError, match="mean heats too large for a float"):
+        analytic.mean_heats_ring(spec)
+
+
 def test_otto_validation():
     with pytest.raises(ValueError, match="invalid altitude order"):
         analytic.RingSpec.from_counts([2.0, 1.0], [2, 3], 10)

@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 import urnengine
-from urnengine import analytic, cli, thermo
+from urnengine import analytic, cli, continuum, thermo
 from urnengine import frontier as fr
 import numpy as np
 
@@ -120,15 +120,14 @@ CSV_HEADERS = {
     "thermo occupancy": (["thermo", "occupancy", "--x", "0.5"], "x,f"),
     "thermo entropy": (["thermo", "entropy", "--x", "0", "--levels", "3"], "x,y,levels,s"),
     "thermo degeneracy": (["thermo", "degeneracy", "--N", "10", "--n", "3"], "N,n,log_degeneracy"),
-    "simulate": (["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "2", "--n-h", "3",
-                  "--N", "10", "--trials", "100", "--seed", "1"],
+    "simulate": (["simulate", "--eps", "1,2", "--n", "2,3", "--N", "10", "--trials", "100", "--seed", "1"],
                  "eps,n,N,trials,seed,workers,mean_W,var_W,stderr_W,mean_Q,conservation_violations,"
                  "analytic_mean,analytic_variance,z_mean,z_var,tv_distance,exact_match,passed"),
     "continuum heats": (["continuum", "heats", "--beta-l", "1.38", "--beta-h", "0.42",
-                         "--eps-l1", "1", "--eps-lm", "1.1", "--eps-h1", "3.6", "--eps-hm", "3.3"],
+                         "--l1", "1.38", "--lm", "1.518", "--h1", "1.512", "--hm", "1.386"],
                         "beta_l,beta_h,L1,Lm,H1,Hm,Q_l,Q_h,W,eta"),
     "continuum reversible": (["continuum", "reversible", "--beta-l", "1.38", "--beta-h", "0.42",
-                              "--eps-l1", "1", "--eps-lm", "1.1"],
+                              "--l1", "1.38", "--lm", "1.518"],
                              "beta_l,beta_h,L1,Lm,W,eta,identity_residual"),
     "continuum wmax": (["continuum", "wmax", "--beta-l", "1.38", "--beta-h", "0.42"], "beta_l,beta_h,W_max"),
     "frontier": (["frontier", "--m", "1", "--beta-l", "1.38", "--beta-h", "0.42", "--target-w", "0.1"],
@@ -194,8 +193,7 @@ def test_thermo_subcommands(capsys):
 
 
 def test_simulate_smoke(capsys):
-    argv = ["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "20", "--n-h", "30",
-            "--N", "100", "--trials", "20000", "--seed", "7", "--workers", "2"]
+    argv = ["simulate", "--eps", "1,2", "--n", "20,30", "--N", "100", "--trials", "20000", "--seed", "7", "--workers", "2"]
     doc = run_json(argv, capsys)
     assert doc["seed"] == 7
     out = doc["outputs"]
@@ -209,8 +207,7 @@ def test_simulate_smoke(capsys):
 
 
 def test_simulate_seed_determinism(capsys):
-    argv = ["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "20", "--n-h", "30",
-            "--N", "100", "--trials", "5000", "--seed", "3"]
+    argv = ["simulate", "--eps", "1,2", "--n", "20,30", "--N", "100", "--trials", "5000", "--seed", "3"]
     _, first, _ = run_cli(argv, capsys)
     _, second, _ = run_cli(argv + ["--workers", "4"], capsys)
     a, b = json.loads(first), json.loads(second)
@@ -219,8 +216,7 @@ def test_simulate_seed_determinism(capsys):
 
 
 def test_simulate_csv_drops_histogram(capsys):
-    argv = ["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "20", "--n-h", "30",
-            "--N", "100", "--trials", "1000", "--seed", "1", "--format", "csv"]
+    argv = ["simulate", "--eps", "1,2", "--n", "20,30", "--N", "100", "--trials", "1000", "--seed", "1", "--format", "csv"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     header, row = list(csv.reader(io.StringIO(out)))
@@ -249,22 +245,21 @@ def test_simulate_equal_weight_draws_pass_the_audit(capsys):
 
 
 def test_simulate_rejects_negative_seed(capsys):
-    code, out, err = run_cli(["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "2",
-                              "--n-h", "3", "--N", "10", "--trials", "10", "--seed", "-1"], capsys)
+    code, out, err = run_cli(["simulate", "--eps", "1,2", "--n", "2,3", "--N", "10",
+                              "--trials", "10", "--seed", "-1"], capsys)
     assert code == 1
     assert out == ""
     assert "seed must be in" in json.loads(err)["error"]
 
 
 def test_simulate_largest_int64_population(capsys):
-    argv = ["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", str(2**61), "--n-h", str(2**62),
-            "--N", str(2**63 - 1), "--trials", "1000", "--seed", "0"]
+    argv = ["simulate", "--eps", "1,2", "--n", f"{2**61},{2**62}", "--N", str(2**63 - 1), "--trials", "1000", "--seed", "0"]
     assert run_json(argv, capsys)["outputs"]["trials"] == 1000
 
 
 @pytest.mark.parametrize("total", [2**63, 2**64 + 5])
 def test_simulate_rejects_population_beyond_int64(total, capsys):
-    code, out, err = run_cli(["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "2", "--n-h", "3",
+    code, out, err = run_cli(["simulate", "--eps", "1,2", "--n", "2,3",
                               "--N", str(total), "--trials", "10", "--seed", "0"], capsys)
     assert code == 1
     assert out == ""
@@ -272,23 +267,26 @@ def test_simulate_rejects_population_beyond_int64(total, capsys):
 
 
 def test_simulate_requires_a_complete_ring(capsys):
-    code, _, err = run_cli(["simulate", "--eps", "1,2", "--N", "100",
-                            "--trials", "10", "--seed", "0"], capsys)
-    assert code == 1
-    assert "ring mode needs both" in json.loads(err)["error"]
+    # a missing required flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--eps", "1,2", "--N", "100", "--trials", "10", "--seed", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the following arguments are required: --n" in captured.err
 
 
 def test_continuum_subcommands(capsys):
     doc = run_json(["continuum", "reversible", "--beta-l", "1.38", "--beta-h", "0.42",
-                    "--eps-l1", "1", "--eps-lm", "1.1"], capsys)
+                    "--l1", "1.38", "--lm", "1.518"], capsys)
     assert doc["outputs"]["W"] == pytest.approx(0.049, abs=2e-3)
     assert doc["outputs"]["eta"] == pytest.approx(1 - 0.42 / 1.38, abs=1e-9)
     assert abs(doc["outputs"]["identity_residual"]) < 1e-10
     doc = run_json(["continuum", "wmax", "--beta-l", "1.38", "--beta-h", "0.42"], capsys)
     assert doc["outputs"]["W_max"] == pytest.approx(1.1480698642814828, abs=1e-9)
     doc = run_json(["continuum", "heats", "--beta-l", "0.2", "--beta-h", "-0.1",
-                    "--eps-l1", "0.3", "--eps-lm", "0.3",
-                    "--eps-h1", "14", "--eps-hm", "0.3"], capsys)
+                    "--l1", "0.06", "--lm", "0.06",
+                    "--h1", "-1.4000000000000001", "--hm", "-0.03"], capsys)
     assert doc["outputs"]["W"] == pytest.approx(2.48, abs=0.03)
     assert doc["outputs"]["eta"] == pytest.approx(0.997, abs=1e-3)
 
@@ -309,13 +307,12 @@ def test_beta_domain_errors_exit_one(argv, message, capsys):
 
 
 def test_continuum_heats_reduced_and_raw_agree(capsys):
-    raw = run_json(["continuum", "heats", "--beta-l", "1.38", "--beta-h", "0.42",
-                    "--eps-l1", "1", "--eps-lm", "1.1",
-                    "--eps-h1", "3.6", "--eps-hm", "3.3"], capsys)
+    # the CLI takes reduced endpoints only; the library still builds them from altitudes
+    raw = continuum.continuum_heats(continuum.CarnotEndpoints.from_altitudes(1.38, 0.42, 1, 1.1, 3.6, 3.3))
     reduced = run_json(["continuum", "heats", "--beta-l", "1.38", "--beta-h", "0.42",
                         "--l1", "1.38", "--lm", "1.518",
                         "--h1", "1.512", "--hm", "1.386"], capsys)
-    assert raw["outputs"]["W"] == pytest.approx(reduced["outputs"]["W"], abs=1e-12)
+    assert raw.work == pytest.approx(reduced["outputs"]["W"], abs=1e-12)
 
 
 def test_frontier_single_target(capsys):
@@ -386,20 +383,19 @@ _REDUCED = ["--beta-l", "1.38", "--beta-h", "0.42", "--l1", "1.38", "--lm", "1.5
     (["analytic", "variance", "--eps", "1,1e308", "--f", "0.5,0.5"], "work statistics too large for a float"),
     # for 0/1 weights the excited fraction is the mean weight: two differing ones are no ring
     (["analytic", "ring", "--eps", "1,2", "--f-mean", "0.2,0.3", "--f", "0.5,0.9"], "invalid population"),
-    # one input form or the other, never parts of both
-    (["continuum", "heats", *_REDUCED, "--h1", "1.512", "--hm", "1.386", "--eps-h1", "3.6"],
-     "--l1/--lm/--h1/--hm and --eps-l1/--eps-lm/--eps-h1/--eps-hm are mutually exclusive"),
-    (["continuum", "reversible", *_REDUCED, "--eps-lm", "1.1"],
-     "--l1/--lm and --eps-l1/--eps-lm are mutually exclusive"),
-    (["simulate", "--eps", "1,2", "--n", "2,3", "--n-h", "3", "--N", "10", "--trials", "10", "--seed", "0"],
-     "--eps/--n and --eps-l/--eps-h/--n-l/--n-h are mutually exclusive"),
-    # and all of one form
-    (["continuum", "heats", *_REDUCED, "--h1", "1.512"],
-     "need all of --l1/--lm/--h1/--hm or all of --eps-l1/--eps-lm/--eps-h1/--eps-hm"),
-    (["continuum", "reversible", "--beta-l", "1.38", "--beta-h", "0.42", "--eps-l1", "1"],
-     "need all of --l1/--lm or all of --eps-l1/--eps-lm"),
-    (["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "2", "--N", "10", "--trials", "10", "--seed", "0"],
-     "need all of --eps/--n or all of --eps-l/--eps-h/--n-l/--n-h"),
+    # a closed form that overflows a float: 1/beta_l at beta_l = 1e-320 ...
+    (["continuum", "wmax", "--beta-l", "1e-320", "--beta-h", "1"], "reversible work too large for a float"),
+    (["continuum", "reversible", "--beta-l", "1e-320", "--beta-h", "1", "--l1", "1e-321", "--lm", "2e-320"],
+     "reversible work or efficiency too large for a float"),
+    # ... eta = 1 - beta_h/beta_l alone ...
+    (["continuum", "reversible", "--beta-l", "1e-300", "--beta-h", "1e10", "--l1", "1e-301", "--lm", "2e-300"],
+     "reversible work or efficiency too large for a float"),
+    # ... Q_high = 2 * (0.2 - 1e308) ...
+    (["analytic", "ring", "--eps", "1,2", "--f-mean", "0.2,1e308"], "mean heats too large for a float"),
+    # ... or the variance, checked before any draw (the draws would warn of overflow)
+    (["simulate", "--eps", "1,1e308", "--n", "2,3", "--N", "10", "--trials", "10", "--seed", "0"],
+     "work statistics too large for a float"),
+    (["thermo", "degeneracy", "--N", "1" + "0" * 400, "--n", "5"], "occupation too large for a float"),
     # f = (0.2, 0.3) varies, but d_k^2 f_k (1 - f_k) underflows at 1e-320
     (["simulate", "--eps", "1e-320,2e-320", "--n", "2,3", "--N", "10", "--trials", "1000", "--seed", "1"],
      "work variance too small for a float"),
@@ -410,6 +406,44 @@ def test_nan_inputs_exit_one(argv, message, capsys):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == message
+
+
+def test_simulate_overflow_writes_one_json_line():
+    # the closed forms fail before the ensemble runs, so no numpy warning
+    # from the draws reaches stderr ahead of the error line
+    proc = subprocess.run(
+        [sys.executable, "-m", "urnengine.cli", "simulate", "--eps", "1,1e308", "--n", "2,3",
+         "--N", "10", "--trials", "10", "--seed", "0"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == json.dumps({"error": "work statistics too large for a float"}) + "\n"
+
+
+# Each input has one spelling: the Otto-form simulate flags and the raw
+# altitudes of continuum heats|reversible are gone, so argparse rejects them.
+_REMOVED_FLAGS = {
+    "simulate": (["simulate", "--eps", "1,2", "--n", "2,3", "--N", "10", "--trials", "10", "--seed", "0"],
+                 ["--eps-l", "--eps-h", "--n-l", "--n-h"]),
+    "continuum heats": (["continuum", "heats", *_REDUCED, "--h1", "1.512", "--hm", "1.386"],
+                        ["--eps-l1", "--eps-lm", "--eps-h1", "--eps-hm"]),
+    "continuum reversible": (["continuum", "reversible", *_REDUCED], ["--eps-l1", "--eps-lm"]),
+}
+
+
+@pytest.mark.parametrize("argv, flag", [pytest.param(argv, flag, id=f"{name} {flag}")
+                                        for name, (argv, flags) in _REMOVED_FLAGS.items()
+                                        for flag in flags])
+def test_removed_input_flags_exit_two(argv, flag, tmp_path, capsys):
+    path = tmp_path / "doc"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, "1", "--output", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} 1" in captured.err
+    assert not path.exists()
 
 
 def test_frontier_overflowing_default_extent_names_the_flag(capsys):
@@ -635,8 +669,7 @@ def test_frontier_writer_matches_dict_rows(m, fmt, tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["analytic", "otto", "--eps-l", "1", "--eps-h", "2", "--N", "100", "--n-l", "0", "--n-h", "30"],
     ["analytic", "ring", "--eps", "1,1.5,2.5,2", "--f-mean", "0.2,0.25,0.3,0.35"],
-    ["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "20", "--n-h", "30",
-     "--N", "100", "--trials", "1000", "--seed", "1"],
+    ["simulate", "--eps", "1,2", "--n", "20,30", "--N", "100", "--trials", "1000", "--seed", "1"],
     ["continuum", "heats", "--beta-l", "1.38", "--beta-h", "0.42",
      "--l1", "3", "--lm", "0.5", "--h1", "0.2", "--hm", "1.5"],  # the hot side absorbs: eta is null
     # d**4 and variance**2 of z_var would overflow without rescaling

@@ -50,6 +50,17 @@ def test_max_reversible_work_oracle():
         assert w <= wm + 1e-12
 
 
+def test_reversible_overflow_is_a_domain_error():
+    # 1/beta_l overflows at beta_l = 1e-320: W_max would be -inf, W nan and eta -inf
+    with pytest.raises(ValueError, match="reversible work too large for a float"):
+        continuum.max_reversible_work(1e-320, 1.0)
+    with pytest.raises(ValueError, match="reversible work or efficiency too large for a float"):
+        continuum.reversible_work(1e-320, 1.0, 1e-321, 2e-320)
+    # W stays finite at beta_l = 1e-300, but eta = 1 - beta_h/beta_l overflows
+    with pytest.raises(ValueError, match="reversible work or efficiency too large for a float"):
+        continuum.reversible_work(1e-300, 1e10, 1e-301, 2e-300)
+
+
 def test_negative_hot_branch_oracle():
     ep = continuum.CarnotEndpoints.from_altitudes(0.2, -0.1, 0.3, 0.3, 14.0, 0.3)
     res = continuum.continuum_heats(ep)

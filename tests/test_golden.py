@@ -35,8 +35,8 @@ CASES = {
     "thermo_occupancy.json": ["thermo", "occupancy", "--x", "0.5"],
     "thermo_entropy.json": ["thermo", "entropy", "--x", "1.2", "--y", "0.7"],
     "thermo_degeneracy.json": ["thermo", "degeneracy", "--N", "100", "--n", "30"],
-    "simulate_otto.json": ["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "2000",
-                           "--n-h", "3000", "--N", "10000", "--trials", "20000", "--seed", "42"],
+    "simulate_otto.json": ["simulate", "--eps", "1,2", "--n", "2000,3000",
+                           "--N", "10000", "--trials", "20000", "--seed", "42"],
     "simulate_equal_weights.json": ["simulate", "--eps", "0.1,0.2,0.7,0.3", "--n", "9,9,9,9",
                                     "--N", "10", "--trials", "20000", "--seed", "1"],
     "continuum_heats.json": ["continuum", "heats", "--beta-l", "1.38", "--beta-h", "0.42",

@@ -71,8 +71,8 @@ def test_region_loads_no_monte_carlo():
 
 
 def test_simulate_loads_neither_frontier_nor_continuum():
-    loaded = _after_main(["simulate", "--eps-l", "1", "--eps-h", "2", "--n-l", "2", "--n-h", "3",
-                          "--N", "10", "--trials", "100", "--seed", "1"])
+    loaded = _after_main(["simulate", "--eps", "1,2", "--n", "2,3", "--N", "10",
+                          "--trials", "100", "--seed", "1"])
     assert "urnengine.montecarlo" in loaded
     assert "urnengine.frontier" not in loaded and "urnengine.continuum" not in loaded
 

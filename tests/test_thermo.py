@@ -182,11 +182,25 @@ def test_log_degeneracy_large_uses_stirling_branch():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_total, n", [
+    (10**23, 5), (10**16, 3), (10**12, 5), (10**23, 10**4), (10**6, 5 * 10**5),
+    (10**6, 10**6 - 3), (10_001, 5_000),
+])
+def test_log_degeneracy_matches_the_falling_factorial_sum(n_total, n):
+    # ln C(N, n) = sum_{i<k} ln(N - i) - ln k! with k = min(n, N - n): positive
+    # terms, no cancellation; ln N! - ln n! - ln(N-n)! keeps no digit at N = 1e23
+    k = min(n, n_total - n)
+    oracle = math.fsum(math.log(n_total - i) for i in range(k)) - math.lgamma(k + 1)
+    assert thermo.log_degeneracy(n_total, n) == pytest.approx(oracle, rel=1e-12)
+
+
 def test_log_degeneracy_validation():
     with pytest.raises(ValueError, match="invalid occupation"):
         thermo.log_degeneracy(10, 11)
     with pytest.raises(ValueError, match="invalid occupation"):
         thermo.log_degeneracy(10, -1)
+    with pytest.raises(ValueError, match="occupation too large for a float"):
+        thermo.log_degeneracy(10**400, 5)
 
 
 def test_carnot_efficiency_values():
