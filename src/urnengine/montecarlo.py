@@ -8,14 +8,22 @@ draws plus at least four spare words), so any partition of trials over
 workers sees the same draws.  Trials are processed in fixed-size chunks
 regardless of worker count; each chunk reduces to partial statistics (count,
 mean, M2, per-reservoir heat means, work histogram, conservation violations)
-and the partials fold into one accumulator in chunk order as they arrive,
-which pins every floating point operation independent of scheduling and
-keeps memory flat in the number of chunks.
+and the partials fold in place into one accumulator in chunk order as they
+arrive, which pins every floating point operation independent of scheduling
+and keeps memory flat in the number of chunks.
+
+Memory is bounded by a block of trials: a chunk draws raw words _BLOCK
+trials at a time from one Philox stream into a (2m, chunk) array of ball
+indices, uint32 when N <= 2^32 and uint64 otherwise; the trial path holds
+drawn weights one block at a time.  No trial straddles a block, so no result
+depends on _BLOCK.
 
 Ball selection is exactly uniform: a 64-bit word r is accepted iff
-r < 2^64 - (2^64 mod N), making r mod N uniform over [0, N); the rare
-rejected word (probability < N/2^64 per draw) is replaced from the trial's
-spare words in a deterministic order.
+r < 2^64 - (2^64 mod N), making r mod N uniform over [0, N); a rejected word
+(probability p = (2^64 mod N)/2^64 per draw) is replaced from the trial's
+spare words in a deterministic order.  A trial runs out of spares iff fewer
+than 2m of its words are accepted; a run whose expected count of such trials
+exceeds 1e-6 is a domain error before any draw, since no seed can avoid it.
 
 A trial's work is accumulated in ring order, W = ((d_0 w_0 + d_1 w_1) + ...)
 with d_k = eps_k - eps_{k+1}, and the heat into reservoir k is
@@ -46,6 +54,8 @@ from .urn import EngineRing
 __all__ = _EXPORTS["montecarlo"]
 
 _CHUNK = 16384  # trials per accumulation chunk; fixed so worker count cannot affect results
+_BLOCK = 4096  # trials per raw-word draw and per trial-path weight block; results do not depend on it
+_EXHAUSTED = 1e-6  # most expected trials per run that run out of spare words
 _WORD = 1 << 64
 _HIST_BINS = 256
 _CODES = 1 << 20  # most draw codes tabulated per run, and the enumeration limit
@@ -94,15 +104,21 @@ class _Tables:
         n = len(self.eps)
         self.deltas = [self.eps[k] - self.eps[(k + 1) % n] for k in range(n)]
         self.weights = [np.asarray(r.weights, dtype=float) for r in ring.reservoirs]
-        # class c of a ball index: the number of these boundaries at or below it
-        self.bounds = [r.cumulative_counts[:-1].astype(np.uint64) for r in ring.reservoirs]
         self.total = ring.total
+        # ball indices in the narrowest unsigned dtype that holds N
+        self.dtype = np.uint32 if self.total <= 1 << 32 else np.uint64
+        # class c of a ball index: the number of these boundaries at or below it
+        self.bounds = [r.cumulative_counts[:-1].astype(self.dtype) for r in ring.reservoirs]
         rem = _WORD % self.total
         self.threshold = np.uint64(_WORD - rem) if rem else None
         self.two_level = all(r.is_two_level for r in ring.reservoirs)
         # raw words per trial: one per reservoir plus >= 4 spares, block-aligned
         self.blocks_per_trial = (n + 4 + 3) // 4
         self.words_per_trial = 4 * self.blocks_per_trial
+        # a trial runs out of spares iff fewer than 2m of its words are accepted
+        self.p_reject = p = rem / _WORD
+        words = self.words_per_trial
+        self.p_exhausted = math.fsum(math.comb(words, a) * (1.0 - p)**a * p**(words - a) for a in range(n))
         # work support bounds, for fixed-width binning of general weights
         lo = hi = 0.0
         for k in range(n):
@@ -132,26 +148,28 @@ def _partial(work: np.ndarray, mean_heats: np.ndarray, hist, violations: int = 0
 
 
 def _ball_indices(tables: _Tables, key: int, lo: int, hi: int) -> np.ndarray:
-    """Uniform ball indices in [0, N), shape (2m reservoirs, hi-lo trials)."""
-    n_res = len(tables.eps)
-    n_tr = hi - lo
+    """Uniform ball indices in [0, N), shape (2m, hi-lo), drawn _BLOCK trials at a time."""
+    n_res, total, threshold = len(tables.eps), np.uint64(tables.total), tables.threshold
+    balls = np.empty((n_res, hi - lo), dtype=tables.dtype)
     bg = np.random.Philox(key=key, counter=lo * tables.blocks_per_trial)
-    raw = bg.random_raw(n_tr * tables.words_per_trial).reshape(n_tr, tables.words_per_trial)
-    draws = raw[:, :n_res]
-    spares = raw[:, n_res:]
-    if tables.threshold is not None and draws.max() >= tables.threshold:
-        cursor = np.zeros(n_tr, dtype=np.int64)  # next spare word per trial
-        # trial-major order: each trial's spares replace its draws in ring order
-        for t, k in zip(*np.nonzero(draws >= tables.threshold)):
-            while True:
-                c = cursor[t]
-                if c >= spares.shape[1]:
+    for b in range(0, hi - lo, _BLOCK):
+        n_tr = min(_BLOCK, hi - lo - b)
+        raw = bg.random_raw(n_tr * tables.words_per_trial).reshape(n_tr, tables.words_per_trial)
+        if threshold is not None and raw[:, :n_res].max() >= threshold:
+            # each trial's accepted spares replace its rejected draws in ring order
+            for t in np.flatnonzero((raw[:, :n_res] >= threshold).any(axis=1)):
+                rejected = raw[t, :n_res] >= threshold
+                accepted = raw[t, n_res:][raw[t, n_res:] < threshold]
+                if len(accepted) < np.count_nonzero(rejected):
                     raise RuntimeError("rejection spares exhausted; change the seed")
-                cursor[t] = c + 1
-                if spares[t, c] < tables.threshold:
-                    draws[t, k] = spares[t, c]
-                    break
-    return np.remainder(draws.T, np.uint64(tables.total), order="C")
+                raw[t, :n_res][rejected] = accepted[:np.count_nonzero(rejected)]
+        # r mod N as r - (r // N) N on contiguous draws: numpy divides those
+        # by a scalar far faster than it takes a remainder
+        draws = raw[:, :n_res].T.copy()
+        del raw  # the block goes before the quotient is allocated
+        draws -= draws // total * total
+        balls[:, b:b + n_tr] = draws
+    return balls
 
 
 def _work_audit(tables: _Tables, column):
@@ -194,8 +212,8 @@ def _histogram(tables: _Tables, work: np.ndarray, counts: np.ndarray | None = No
         idx = np.clip(((work - s_lo) / width).astype(np.int64), 0, _HIST_BINS - 1)
         return np.bincount(idx, weights=counts, minlength=_HIST_BINS)
     vals, inverse = np.unique(work, return_inverse=True)
-    keyed = np.bincount(inverse, weights=counts)
-    return {float(v): int(c) for v, c in zip(vals, keyed)}
+    keyed = np.bincount(inverse, weights=counts).astype(np.int64)
+    return dict(zip(vals.tolist(), keyed.tolist()))
 
 
 def _code_summary(tables: _Tables, counts: np.ndarray):
@@ -203,8 +221,8 @@ def _code_summary(tables: _Tables, counts: np.ndarray):
     code evaluated once and weighted by its count."""
     codes = np.flatnonzero(counts)
     drawn = counts[codes]
-    cols = [w[codes // s % len(w)] for w, s in zip(tables.weights, tables.strides)]
-    work, bad = _work_audit(tables, lambda k: cols[k])
+    w, s = tables.weights, tables.strides  # each column decoded when the audit asks for it
+    work, bad = _work_audit(tables, lambda k: w[k][codes // s[k] % len(w[k])])
     return _histogram(tables, work, drawn), int(drawn[bad].sum())
 
 
@@ -234,32 +252,35 @@ def _code_stats(tables: _Tables, balls: np.ndarray) -> _Partial:
 
 
 def _trial_stats(tables: _Tables, balls: np.ndarray) -> _Partial:
-    """Chunk partial of any ring from its ball indices, trial by trial."""
-    w = np.empty(balls.shape[::-1])
-    drawn = []
-    for k, r in enumerate(balls):
-        classes = np.searchsorted(tables.bounds[k], r, side="right")
-        w[:, k] = tables.weights[k][classes]
-        drawn.append(np.bincount(classes, minlength=len(tables.weights[k])).tolist())
-    work, bad = _work_audit(tables, lambda k: w[:, k])
-    return _partial(work, _mean_heats(tables, drawn, len(work)), _histogram(tables, work),
-                    int(np.count_nonzero(bad)))
+    """Chunk partial of any ring from its ball indices, trial by trial, _BLOCK trials at a time."""
+    n_tr = balls.shape[1]
+    work, bad = np.empty(n_tr), np.empty(n_tr, dtype=bool)
+    drawn = [np.zeros(len(w), dtype=np.int64) for w in tables.weights]
+    for b in range(0, n_tr, _BLOCK):
+        w = np.empty(balls[:, b:b + _BLOCK].shape)
+        for k, r in enumerate(balls[:, b:b + _BLOCK]):
+            classes = np.searchsorted(tables.bounds[k], r, side="right")
+            w[k] = tables.weights[k][classes]
+            drawn[k] += np.bincount(classes, minlength=len(drawn[k]))
+        work[b:b + _BLOCK], bad[b:b + _BLOCK] = _work_audit(tables, w.__getitem__)
+    return _partial(work, _mean_heats(tables, [d.tolist() for d in drawn], n_tr),
+                    _histogram(tables, work), int(np.count_nonzero(bad)))
 
 
 def _merge(a: _Partial, b: _Partial) -> _Partial:
+    """Fold partial b into a, in place; returns a."""
     n = a.n + b.n
     delta = b.mean - a.mean
     ratio = b.n / n
-    mean = a.mean + delta * ratio
-    m2 = a.m2 + b.m2 + delta * delta * (a.n * ratio)
-    mean_heats = a.mean_heats + (b.mean_heats - a.mean_heats) * ratio
+    a.mean, a.m2 = a.mean + delta * ratio, a.m2 + b.m2 + delta * delta * (a.n * ratio)
+    a.mean_heats = a.mean_heats + (b.mean_heats - a.mean_heats) * ratio
     if isinstance(a.hist, dict):
-        hist: dict[float, int] | np.ndarray = dict(a.hist)
         for v, c in b.hist.items():  # type: ignore[union-attr]
-            hist[v] = hist.get(v, 0) + c
+            a.hist[v] = a.hist.get(v, 0) + c
     else:
-        hist = a.hist + b.hist
-    return _Partial(n, mean, m2, mean_heats, hist, a.violations + b.violations)
+        a.hist += b.hist
+    a.n, a.violations = n, a.violations + b.violations
+    return a
 
 
 def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> EnsembleStats:
@@ -274,6 +295,11 @@ def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> 
         raise ValueError("workers must be >= 1")
     key = _checked_seed(seed)
     tables = _Tables(ring)
+    if trials * tables.p_exhausted > _EXHAUSTED:
+        raise ValueError(
+            f"N = {tables.total} rejects a fraction p = {tables.p_reject:.3g} of random words: "
+            f"of {trials} trials, {trials * tables.p_exhausted:.3g} are expected to run out of "
+            f"spare words (at most {_EXHAUSTED:g} allowed)")
     ranges = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
     stats = _trial_stats if tables.code_work is None else _code_stats
     # partials fold into the accumulator in chunk order as they arrive
@@ -282,10 +308,9 @@ def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> 
         mapper = map if workers == 1 or len(ranges) == 1 else pool.map
         for part in mapper(lambda r: stats(tables, _ball_indices(tables, key, *r)), ranges):
             acc = part if acc is None else _merge(acc, part)
+            del part  # the next chunk runs before the loop rebinds the name
 
     var = acc.m2 / (acc.n - 1) if acc.n > 1 else 0.0
-    if var < 0.0:
-        var = 0.0
     hist, violations, bin_width = acc.hist, acc.violations, None
     if tables.code_work is not None:
         hist, violations = _code_summary(tables, hist)  # exact keys come sorted
@@ -295,14 +320,13 @@ def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> 
         s_lo, s_hi = tables.support
         bin_width = (s_hi - s_lo) / _HIST_BINS
         hist = {float(s_lo + j * bin_width): int(c) for j, c in enumerate(hist) if c > 0}
-    mean_heats = acc.mean_heats.copy()
-    mean_heats.flags.writeable = False
+    acc.mean_heats.flags.writeable = False  # a fresh array: each merge makes a new one
     return EnsembleStats(
         trials=acc.n,
         mean_work=acc.mean,
         var_work=var,
         stderr_work=math.sqrt(var / acc.n),
-        mean_heats=mean_heats,
+        mean_heats=acc.mean_heats,
         histogram=hist,
         seed=seed,
         bin_width=bin_width,

@@ -175,7 +175,8 @@ def beta_from_occupancy(n: int, N: int, eps: float) -> InverseTemperature:
     """Inverse temperature of a two-level urn with n of N balls excited.
 
     Thermal occupation requires exp(-beta*eps) = n/(N - n), hence
-    beta = ln(N/n - 1)/eps.
+    beta = ln(N/n - 1)/eps, taken as +-log1p((N - 2k)/k)/eps with
+    k = min(n, N - n), so the digits survive near half and full filling.
     """
     if N < 1 or n < 0 or n > N:
         raise ValueError("invalid occupation")
@@ -183,7 +184,8 @@ def beta_from_occupancy(n: int, N: int, eps: float) -> InverseTemperature:
         raise ValueError("degenerate occupancy (infinite |beta|)")
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError("altitude must be positive")
-    return InverseTemperature(math.log((N - n) / n) / eps)
+    k = min(n, N - n)  # log1p of a non-negative argument keeps every digit
+    return InverseTemperature(math.copysign(math.log1p((N - 2 * k) / k) / eps, N - 2 * n))
 
 
 def _stirling_tail(t: float) -> float:

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -255,6 +256,20 @@ def test_simulate_rejects_negative_seed(capsys):
 def test_simulate_largest_int64_population(capsys):
     argv = ["simulate", "--eps", "1,2", "--n", f"{2**61},{2**62}", "--N", str(2**63 - 1), "--trials", "1000", "--seed", "0"]
     assert run_json(argv, capsys)["outputs"]["trials"] == 1000
+
+
+@pytest.mark.parametrize("total", [2**61 + 1, 6148914691236517206])
+def test_simulate_spare_exhaustion_is_a_domain_error(total, capsys):
+    # these N reject about 1/8 and 1/3 of raw words; some of 2^20 trials would
+    # run out of spare words whatever the seed, so the run fails before drawing
+    argv = ["simulate", "--eps", "1,2", "--n", "1000,2000", "--N", str(total),
+            "--trials", "1048576", "--seed", "1"]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "are expected to run out of spare words" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("total", [2**63, 2**64 + 5])

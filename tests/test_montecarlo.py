@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -394,12 +396,13 @@ def test_workers_bit_identical_on_16_ring():
         assert other.conservation_violations == base.conservation_violations
 
 
-def test_rejected_words_are_replaced_from_spares_in_ring_order():
+def test_rejected_words_are_replaced_from_spares_in_ring_order(monkeypatch):
     # N = 2^61 + 1 rejects about one word in eight
     total = 2**61 + 1
     ring = urn.two_level_ring([1.0, 2.0], [2**59, 2**60], total)
     tables = montecarlo._Tables(ring)
     lo, hi, n_res = 7, 3000, 2
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1000)  # block boundaries at trials 1007 and 2007
     bg = np.random.Philox(key=5, counter=lo * tables.blocks_per_trial)
     raw = bg.random_raw((hi - lo) * tables.words_per_trial).reshape(hi - lo, -1)
     assert np.count_nonzero(raw[:, :n_res] >= tables.threshold) > 100
@@ -413,6 +416,80 @@ def test_rejected_words_are_replaced_from_spares_in_ring_order():
                 cursor[t] += 1
             expected[k, t] = r % np.uint64(total)
     assert np.array_equal(montecarlo._ball_indices(tables, 5, lo, hi), expected)
+
+
+def test_spare_exhaustion_probability_is_the_binomial_tail():
+    # an m=1 trial has 8 words; it runs out of spares iff fewer than 2 are accepted
+    for total in (2**61 + 1, 6148914691236517206, 10, 2**32 + 1):
+        tables = montecarlo._Tables(urn.two_level_ring([1.0, 2.0], [2, 3], total))
+        p = Fraction(2**64 % total, 2**64)
+        exact = p**8 + 8 * (1 - p) * p**7
+        assert tables.p_exhausted == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+    assert montecarlo._Tables(urn.two_level_ring([1.0, 2.0], [2, 3], 2**40)).p_exhausted == 0.0
+
+
+@pytest.mark.parametrize("total, p", [(2**61 + 1, "0.125"), (6148914691236517206, "0.333")])
+def test_spare_exhaustion_is_a_domain_error_before_any_draw(total, p, monkeypatch):
+    # at N = 2^61 + 1 about 3.6 of 2^20 trials would exhaust their spares, whatever the seed
+    def no_draws(*args):
+        raise AssertionError("drew words")
+
+    monkeypatch.setattr(montecarlo, "_ball_indices", no_draws)
+    ring = urn.two_level_ring([1.0, 2.0], [1000, 2000], total)
+    with pytest.raises(ValueError, match=f"N = {total} rejects a fraction p = {p} of random words"):
+        montecarlo.run_ensemble(ring, 2**20, seed=1)
+
+
+def _outputs(stats):
+    """Every EnsembleStats field, floats by repr (so -0.0 != 0.0) and arrays by bytes."""
+    values = [getattr(stats, f.name) for f in dataclasses.fields(stats)]
+    return [v.tobytes() if isinstance(v, np.ndarray) else repr(list(v.items())) if isinstance(v, dict)
+            else repr(v) for v in values]
+
+
+BLOCK_CASES = {
+    "otto": (otto_oracle_ring(), 1),
+    "2m=16 workers=1": (_equilibrium_like_ring(16, 3), 1),
+    "2m=16 workers=3": (_equilibrium_like_ring(16, 3), 3),
+    "0/1/2.5 2m=8": (_mixed_ring(8, 5), 1),
+    "fault": (MIXED_RINGS["fault"], 1),
+    "0/1 2m=22 trial path": (_equilibrium_like_ring(22, 4), 1),
+}
+
+
+@pytest.mark.parametrize("ring, workers", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+def test_block_size_cannot_change_results(ring, workers, monkeypatch):
+    def outputs(block, trials):
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        return _outputs(montecarlo.run_ensemble(ring, trials, seed=8, workers=workers))
+
+    # 16384 is one block per chunk; 1 and 7 leave ragged blocks in every chunk
+    # and run on shorter ensembles, since each block costs a few dozen numpy calls
+    assert outputs(4096, 5 * 16384 + 123) == outputs(16384, 5 * 16384 + 123)
+    assert outputs(7, 16384 + 123) == outputs(16384, 16384 + 123)
+    assert outputs(1, 2000) == outputs(16384, 2000)
+
+
+def _traced_peak_mb(ring, trials, workers):
+    montecarlo.run_ensemble(ring, 100, seed=1, workers=workers)  # first-call allocations
+    tracemalloc.start()
+    try:
+        montecarlo.run_ensemble(ring, trials, seed=1, workers=workers)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("ring, trials, workers, bound_mb", [
+    (_equilibrium_like_ring(16, 3), 2**19, 1, 4.5),
+    (_equilibrium_like_ring(16, 3), 2**19, 2, 8.0),
+    (_equilibrium_like_ring(64, 4), 4 * 16384 + 77, 1, 15.0),
+], ids=["2m=16 workers=1", "2m=16 workers=2", "2m=64 trial path"])
+def test_traced_peak_is_bounded_by_blocks(ring, trials, workers, bound_mb):
+    # each chunk holds its (2m, 16384) compact ball indices and one block of
+    # raw words (and, on the trial path, of drawn weights); a uint64 index
+    # matrix and whole-chunk word and weight buffers exceed these bounds
+    assert _traced_peak_mb(ring, trials, workers) <= bound_mb
 
 
 def test_22_reservoir_ring_takes_trial_path():

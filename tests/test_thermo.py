@@ -2,6 +2,7 @@
 
 import math
 import struct
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -52,6 +53,26 @@ def test_beta_from_occupancy_oracles():
     # population inversion gives negative beta
     assert thermo.beta_from_occupancy(7000, 10_000, 1.0).beta == pytest.approx(-math.log(7.0 / 3.0), abs=1e-14)
     assert thermo.beta_from_occupancy(8000, 10_000, 2.0).beta == pytest.approx(-math.log(4.0) / 2.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n, N, eps", [
+    (4999999, 10_000_000, 1.0),  # near half filling: ln of a ratio that rounds to 1
+    (10**18 // 2 - 1, 10**18, 1.0),  # (N - n)/n rounds to exactly 1; beta is 4e-18
+    (10**18 // 2 + 1, 10**18, 2.0),
+    (2000, 10_000, 1.0),
+    (3000, 10_000, 2.0),
+    (7000, 10_000, 1.0),
+    (1, 2**62, 7.5),
+    (2**62 - 1, 2**62, 0.37),  # near full filling
+    (9999999, 10_000_000, 1e-3),
+])
+def test_beta_from_occupancy_matches_a_40_digit_oracle(n, N, eps):
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = (Decimal(N - n) / Decimal(n)).ln() / Decimal(eps)
+    beta = thermo.beta_from_occupancy(n, N, eps).beta
+    # one rounding of the ratio, one of log1p and one of the division
+    assert abs(Decimal(beta) - exact) <= 2 * Decimal(math.ulp(float(exact)))
 
 
 def test_beta_temperature_is_reciprocal():
