@@ -24,7 +24,7 @@ _EXPORTS = {
                "log_degeneracy", "occupancy", "occupancy_np"),
     "urn": ("EngineRing", "Group", "Reservoir", "make_reservoir", "two_level_ring"),
     "analytic": ("RingSpec", "WorkStatistics", "efficiency_otto", "equilibrium_ring",
-                 "mean_heats_ring", "work_statistics_general", "work_statistics_ring"),
+                 "mean_heats_ring", "work_statistics_ring"),
     "continuum": ("CarnotEndpoints", "ContinuumHeats", "continuum_heats",
                   "discretized_ring", "max_reversible_work", "reversible_endpoints",
                   "reversible_work"),

@@ -1,19 +1,16 @@
 """Closed-form work statistics for the discrete exchange engine.
 
-Mean quantities depend on populations only through the mean drawn weight
-f_k = w_k/N of each reservoir: per cycle,
+A ring describes reservoir k by its altitude eps_k and the law of the weight
+w_k drawn there: weight values with their probabilities.  Mean quantities
+depend on the laws only through the mean weights f_k = E[w_k]: per cycle,
 
     <Q_k> = eps_k * (f_{k-1} - f_k)           (cyclic, heat into reservoir k)
     <W>   = sum_k (eps_k - eps_{k+1}) * f_k = -<Q_low> - <Q_high>
 
-For the 0/1-weight model each draw is an independent Bernoulli(f_k) variable,
-so the work, a weighted sum of independent draws, has
-
-    Var(W) = sum_k (eps_k - eps_{k+1})^2 * f_k * (1 - f_k)
-
-and Var(W)/<W> measures the relative fluctuation of one cycle's output.  The
-same independence argument gives the general-weight extension
-sum_k (eps_k - eps_{k+1})^2 * Var(w_k), exposed separately.
+The work is a weighted sum of independent draws, so its cumulants are
+kappa_n(W) = sum_k (eps_k - eps_{k+1})^n * kappa_n(w_k).  For the 0/1 model
+(law ((0, 1), (1 - f, f))) the variance term is f_k (1 - f_k), and
+Var(W)/<W> measures the relative fluctuation of one cycle's output.
 
 The two-reservoir Otto engine is the m = 1 ring (``RingSpec.from_counts``);
 its efficiency 1 - eps_l/eps_h depends only on the altitudes.
@@ -22,7 +19,8 @@ its efficiency 1 - eps_l/eps_h depends only on the altitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,39 +30,62 @@ from .thermo import occupancy_np
 __all__ = _EXPORTS["analytic"]
 
 
+def _law_cumulants(values: tuple[float, ...], probs: tuple[float, ...]) -> tuple[float, float]:
+    """Variance and fourth cumulant of one weight law: (b-a)^2 pq and
+    (b-a)^4 pq(1-6pq) for two values a, b at probabilities p, q; central
+    moments mu_2 and mu_4 - 3 mu_2^2 otherwise."""
+    if len(values) == 2:
+        (a, b), (p, q) = values, probs
+        pq = p * q
+        return (b - a) ** 2 * pq, (b - a) ** 4 * (pq * (1.0 - 6.0 * pq))
+    mean = math.fsum(v * p for v, p in zip(values, probs))
+    mu2 = math.fsum(p * (v - mean) ** 2 for v, p in zip(values, probs))
+    mu4 = math.fsum(p * (v - mean) ** 4 for v, p in zip(values, probs))
+    return mu2, mu4 - 3.0 * mu2 * mu2
+
+
 @dataclass(frozen=True, eq=False)
 class RingSpec:
-    """Per-reservoir description of a 2m-ring: altitude, mean weight, and
-    (for 0/1 populations) the excited fraction driving the variance model,
-    which is the mean weight itself.
+    """Per-reservoir description of a 2m-ring: altitude and weight law.
+
+    ``laws[k]`` is ``(values, probs)``: the weights a draw at reservoir k can
+    carry, each finite and >= 0, and their probabilities, which sum to 1.
+    The mean weights, the per-reservoir cumulants and ``two_level`` (every
+    value 0 or 1: the 0/1 model) derive from the laws.
 
     Index convention is cyclic with k = 0..2m-1, the first m entries the low
     group; index -1 wraps to 2m-1.
     """
 
     altitudes: np.ndarray
-    mean_weights: np.ndarray
-    bernoulli_f: np.ndarray | None = None
+    laws: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
+    mean_weights: np.ndarray = field(init=False, repr=False)  # f_k, the mean weight at reservoir k
 
     def __post_init__(self) -> None:
         eps = np.array(self.altitudes, dtype=float)
-        f = np.array(self.mean_weights, dtype=float)
-        object.__setattr__(self, "altitudes", eps)
-        object.__setattr__(self, "mean_weights", f)
+        laws = tuple((tuple(map(float, v)), tuple(map(float, p))) for v, p in self.laws)
         n = eps.shape[0] if eps.ndim == 1 else 0
-        if n < 2 or n % 2 != 0 or f.shape != (n,):
+        if n < 2 or n % 2 != 0 or len(laws) != n:
             raise ValueError("ring must hold 2m >= 2 reservoirs")
         if not np.all(np.isfinite(eps)) or np.any(eps <= 0.0):
             raise ValueError("invalid altitude")
-        if not np.all(np.isfinite(f)) or np.any(f < 0.0):
-            raise ValueError("invalid population")
-        if self.bernoulli_f is not None:
-            b = np.asarray(self.bernoulli_f, dtype=float)
-            if b.shape != (n,) or (b != f).any() or (f > 1.0).any():
+        for values, probs in laws:
+            if not (len(values) == len(probs) > 0
+                    and all(0.0 <= v < math.inf for v in values)
+                    and all(0.0 <= p for p in probs)
+                    and abs(math.fsum(probs) - 1.0) <= 1e-12):
                 raise ValueError("invalid population")
-            object.__setattr__(self, "bernoulli_f", f)
-        eps.flags.writeable = False
-        f.flags.writeable = False
+        f = np.array([math.fsum(v * p for v, p in zip(*law)) for law in laws])
+        eps.flags.writeable = f.flags.writeable = False
+        object.__setattr__(self, "altitudes", eps)
+        object.__setattr__(self, "laws", laws)
+        object.__setattr__(self, "mean_weights", f)
+
+    @classmethod
+    def bernoulli(cls, altitudes, f) -> "RingSpec":
+        """0/1-weight ring: weight 1 at reservoir k with probability ``f[k]``."""
+        f = np.ravel(f).astype(float).tolist()
+        return cls(altitudes, tuple(((0.0, 1.0), (1.0 - fk, fk)) for fk in f))
 
     @classmethod
     def from_counts(cls, altitudes, excited, total: int) -> "RingSpec":
@@ -84,12 +105,23 @@ class RingSpec:
             raise ValueError("invalid altitude order")
         if total < 1:
             raise ValueError("empty reservoir")
-        f = n / total
-        return cls(altitudes=eps, mean_weights=f, bernoulli_f=f)
+        return cls.bernoulli(eps, n / total)
 
     @property
     def m(self) -> int:
         return len(self.altitudes) // 2
+
+    @cached_property
+    def cumulants(self) -> tuple[np.ndarray, np.ndarray]:
+        """Variance and fourth cumulant of each reservoir's weight."""
+        var, kappa4 = map(np.array, zip(*(_law_cumulants(*law) for law in self.laws)))
+        var.flags.writeable = kappa4.flags.writeable = False
+        return var, kappa4
+
+    @property
+    def two_level(self) -> bool:
+        """True when every weight value is 0 or 1."""
+        return all(v in (0.0, 1.0) for values, _ in self.laws for v in values)
 
 
 @dataclass(frozen=True)
@@ -152,33 +184,13 @@ def mean_heats_ring(spec: RingSpec) -> tuple[float, float, float]:
 
 
 def work_statistics_ring(spec: RingSpec) -> WorkStatistics:
-    """Exact mean/variance of one cycle's work for the 0/1-weight model."""
-    if spec.bernoulli_f is None:
-        raise ValueError("bernoulli fractions required for the 0/1 variance model")
-    f = spec.bernoulli_f
-    return work_statistics_general(spec.altitudes, f, f * (1.0 - f))
-
-
-def work_statistics_general(
-    altitudes: np.ndarray, mean_weights: np.ndarray, weight_variances: np.ndarray
-) -> WorkStatistics:
-    """Work statistics for arbitrary per-reservoir weight distributions.
-
-    Extension of the 0/1 model: draws stay independent across reservoirs, so
-    Var(W) = sum_k (eps_k - eps_{k+1})^2 Var(w_k) for any weight law; the 0/1
-    case is Var(w) = f(1-f).
-    """
-    eps = np.asarray(altitudes, dtype=float)
-    mw = np.asarray(mean_weights, dtype=float)
-    vw = np.asarray(weight_variances, dtype=float)
-    if eps.shape != mw.shape or eps.shape != vw.shape or eps.ndim != 1:
-        raise ValueError("ring arrays must have equal 1-d shapes")
-    if np.any(vw < 0.0):
-        raise ValueError("invalid population")
-    d = eps - np.roll(eps, -1)
+    """Exact mean and variance of one cycle's work, for any weight laws:
+    draws are independent across reservoirs, so Var(W) = sum_k
+    (eps_k - eps_{k+1})^2 Var(w_k)."""
+    d = spec.altitudes - np.roll(spec.altitudes, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(d @ mw)
-        variance = float((d * d) @ vw)
+        mean = float(d @ spec.mean_weights)
+        variance = float((d * d) @ spec.cumulants[0])
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise ValueError("work statistics too large for a float")
     ratio = variance / mean if mean != 0.0 else None
@@ -198,5 +210,4 @@ def equilibrium_ring(
     if lo.ndim != 1 or lo.shape != hi.shape or lo.size == 0:
         raise ValueError("branches must be equal-length non-empty sequences")
     eps = np.concatenate([lo, hi])
-    f = _equilibrium_weights(beta_l, beta_h, eps)
-    return RingSpec(altitudes=eps, mean_weights=f, bernoulli_f=f)
+    return RingSpec.bernoulli(eps, _equilibrium_weights(beta_l, beta_h, eps))

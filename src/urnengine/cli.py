@@ -10,9 +10,9 @@ documents.
 
 Exit codes: 0 success, 1 domain error (structured JSON message on stderr),
 2 usage error (argparse: a missing or unknown flag).  Each input has one
-spelling: ``simulate`` takes the ring (``--eps``/``--n``), ``continuum
-heats|reversible`` reduced endpoints (beta*eps).  Reduced units (k_B = 1) are
-the only unit system.
+spelling: ``simulate`` takes the ring (``--eps``/``--n``), ``analytic ring``
+the excited fractions (``--f``), ``continuum heats|reversible`` reduced
+endpoints (beta*eps).  Reduced units (k_B = 1) are the only unit system.
 """
 
 from __future__ import annotations
@@ -212,20 +212,11 @@ def _handle_analytic_otto(args: argparse.Namespace) -> CommandResult:
 
 def _handle_analytic_ring(args: argparse.Namespace) -> CommandResult:
     from . import analytic
-    spec = analytic.RingSpec(altitudes=args.eps, mean_weights=args.f_mean, bernoulli_f=args.f)
+    spec = analytic.RingSpec.bernoulli(args.eps, args.f)
     q_low, q_high, w = analytic.mean_heats_ring(spec)
-    outputs: dict[str, Any] = {"Q_low": q_low, "Q_high": q_high, "W": w}
-    if args.f is not None:
-        stats = analytic.work_statistics_ring(spec)
-        outputs.update(mean_W=stats.mean, var_W=stats.variance, ratio=stats.ratio)
-    return _scalar_result(_echo(args), outputs)
-
-
-def _handle_analytic_variance(args: argparse.Namespace) -> CommandResult:
-    from . import analytic
-    spec = analytic.RingSpec(altitudes=args.eps, mean_weights=args.f, bernoulli_f=args.f)
     stats = analytic.work_statistics_ring(spec)
-    outputs = {"mean_W": stats.mean, "var_W": stats.variance, "ratio": stats.ratio}
+    outputs = {"Q_low": q_low, "Q_high": q_high, "W": w,
+               "mean_W": stats.mean, "var_W": stats.variance, "ratio": stats.ratio}
     return _scalar_result(_echo(args), outputs)
 
 
@@ -384,10 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     analytic = group("analytic", "closed-form engine statistics")
     _command(analytic, "otto", "two-reservoir engine from 0/1 populations", _handle_analytic_otto,
              eps_l=float, eps_h=float, N=int, n_l=int, n_h=int)
-    _command(analytic, "ring", "2m-ring mean heats and work", _handle_analytic_ring,
-             eps=_float_list, f_mean=_float_list, f={"type": _float_list})
-    _command(analytic, "variance", "0/1-model work mean/variance/ratio", _handle_analytic_variance,
-             eps=_float_list, f=_float_list)
+    _command(analytic, "ring", "0/1-weight 2m-ring: mean heats, work mean/variance/ratio",
+             _handle_analytic_ring, eps=_float_list, f=_float_list)
 
     thermo = group("thermo", "occupancy/temperature/entropy layer")
     _command(thermo, "beta", "inverse temperature from occupancy", _handle_thermo_beta,

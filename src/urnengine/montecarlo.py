@@ -27,8 +27,8 @@ exceeds 1e-6 is a domain error before any draw, since no seed can avoid it.
 
 A trial's work is accumulated in ring order, W = ((d_0 w_0 + d_1 w_1) + ...)
 with d_k = eps_k - eps_{k+1}, and the heat into reservoir k is
-eps_k (w_{k-1} - w_k); so for 0/1 weights the per-trial work values land on
-exactly the same floats the exact enumeration in compare_to_analytic produces.
+eps_k (w_{k-1} - w_k); so the per-trial work values land on exactly the same
+floats as the exact enumeration of exact_work_distribution.
 
 Rings with prod_k K_k <= 2^20 draw tuples (K_k weight classes at reservoir k;
 2m <= 20 for 0/1 rings) skip per-trial weights: a trial becomes the mixed-radix
@@ -129,7 +129,7 @@ class _Tables:
         # a trial's code: digit k is its class at reservoir k, stride K_0...K_{k-1}
         sizes = [len(w) for w in self.weights]
         self.strides = [math.prod(sizes[:k]) for k in range(n)]
-        self.code_work = _code_work(self.deltas, self.weights) if math.prod(sizes) <= _CODES else None
+        self.code_work = _code_work(self.deltas, self.weights) if _enumerable(self.weights) else None
 
 
 @dataclass
@@ -177,19 +177,27 @@ def _work_audit(tables: _Tables, column):
     drawn weights of reservoir k, summed in ring order.  The audit bounds
     the residual by its summands, not by |W|: with equal draws the heats
     are 0 and W is rounding residue."""
-    n_res = len(tables.eps)
     work = np.zeros_like(column(0))
     scale = np.zeros_like(work)
-    for k in range(n_res):
-        term = tables.deltas[k] * column(k)
+    for k in range(len(tables.eps)):
+        drawn = column(k)
+        term = tables.deltas[k] * drawn
         work += term
         scale += np.abs(term, out=term)
     residual = work.copy()
-    for k in range(n_res):
-        q = tables.eps[k] * (column((k - 1) % n_res) - column(k))
+    for k in range(len(tables.eps)):  # drawn holds column k - 1: each column is decoded twice
+        current = column(k)
+        q = tables.eps[k] * (drawn - current)
         residual += q
         scale += np.abs(q, out=q)
+        drawn = current
     return work, np.abs(residual) > 1e-12 * scale
+
+
+def _enumerable(weights) -> bool:
+    """Whether the draw codes over these per-reservoir weight classes (their
+    count is the product of the class counts) fit the enumeration limit."""
+    return math.prod(map(len, weights)) <= _CODES
 
 
 def _code_work(deltas, weights) -> np.ndarray:
@@ -335,49 +343,47 @@ def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> 
 
 
 def ring_spec_of(ring: EngineRing) -> RingSpec:
-    """Analytic description of a ring; bernoulli_f only when all weights are 0/1."""
-    f = np.array([r.mean_weight for r in ring.reservoirs])
-    two_level = all(r.is_two_level for r in ring.reservoirs)
-    return RingSpec(
-        altitudes=ring.altitudes,
-        mean_weights=f,
-        bernoulli_f=f if two_level else None,
-    )
+    """Analytic description of a ring: each reservoir's weight law, class c
+    at probability n_c/N and the first class at 1 minus the rest, so a 0/1
+    reservoir gets 1 - f exactly as ``RingSpec.from_counts`` does."""
+    laws = []
+    for r in ring.reservoirs:
+        rest = (r.counts[1:] / r.total).tolist()
+        # past N = 2^53 the rounded rest may sum above 1 by a few ulp
+        laws.append((r.weights.tolist(), [max(0.0, 1.0 - math.fsum(rest)), *rest]))
+    return RingSpec(ring.altitudes, laws)
 
 
 def exact_work_distribution(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Exact work distribution of the 0/1 model by enumerating all 2^(2m) outcomes.
+    """Exact work distribution of a ring by enumerating its draw codes, one
+    weight value per reservoir, each code at the product of its values'
+    probabilities.
 
     Work values are accumulated in the same order as the simulation, so the
     support floats match the simulated histogram keys bit for bit.
     """
-    if spec.bernoulli_f is None:
-        raise ValueError("bernoulli fractions required for the 0/1 variance model")
-    n = len(spec.altitudes)
-    if 2**n > _CODES:
-        raise ValueError("enumeration limited to 2m <= 20 reservoirs")
+    values = [v for v, _ in spec.laws]
+    if not _enumerable(values):
+        raise ValueError(f"enumeration limited to {_CODES} draw codes")
     eps = spec.altitudes
-    f = spec.bernoulli_f
-    d = eps - np.roll(eps, -1)
-    work = _code_work(d, [(0.0, 1.0)] * n)
+    work = _code_work(eps - np.roll(eps, -1), values)
     prob = np.ones(1)
-    for fk in f:
-        prob = np.concatenate([prob * (1.0 - fk), prob * fk])
-    values, inverse = np.unique(work, return_inverse=True)
-    probs = np.bincount(inverse, weights=prob)
-    return values, probs
+    for _, probs in spec.laws:
+        prob = np.concatenate([prob * p for p in probs])
+    support, inverse = np.unique(work, return_inverse=True)
+    return support, np.bincount(inverse, weights=prob)
 
 
 def compare_to_analytic(stats: EnsembleStats, spec: RingSpec) -> ComparisonReport:
     """Statistical agreement between an ensemble and the analytic model.
 
-    z_mean uses the run's own standard error; z_var uses the exact sampling
-    variance of the sample variance (via the analytic fourth moment) for the
-    0/1 model.  When 2m <= 20 and the histogram has exact keys, the empirical
-    distribution is compared to the enumerated one by total-variation
-    distance.  Deterministic rings (all f in {0,1}, or no altitude gap) have
-    no defined z-scores; they report an exact_match flag instead.  A work
-    variance that underflows a float is a domain error.
+    z_mean uses the run's own standard error.  For 0/1 rings, z_var uses the
+    exact sampling variance of the sample variance (via the fourth cumulant
+    of the work), and when the ring's draw codes fit the enumeration limit
+    the exact-key histogram is compared to the enumerated distribution by
+    total-variation distance.  Deterministic rings (all f in {0,1}, or no
+    altitude gap) have no defined z-scores; they report an exact_match flag
+    instead.  A work variance that underflows a float is a domain error.
     """
     if len(stats.mean_heats) != len(spec.altitudes):
         raise ValueError("spec/stats mismatch")
@@ -389,29 +395,28 @@ def compare_to_analytic(stats: EnsembleStats, spec: RingSpec) -> ComparisonRepor
     exact_match: bool | None = None
     tv: float | None = None
 
-    if spec.bernoulli_f is not None:
+    if spec.two_level:
         ws = work_statistics_ring(spec)
         analytic_mean = ws.mean  # single-sum form, comparable for exact_match
         analytic_variance = ws.variance
         eps = spec.altitudes
-        f = spec.bernoulli_f
+        var_w, kappa4_w = spec.cumulants
         d = eps - np.roll(eps, -1)
         # a power of two scales max |d_k| into [0.5, 1): exact, so the scaled
         # variance cannot underflow, and d**4 and variance**2 cannot overflow
         e = -math.frexp(float(np.abs(d).max()))[1]
         d = np.ldexp(d, e)
-        pq = f * (1.0 - f)
-        if not float((d * d) @ pq) > 0.0:  # every f_k is 0 or 1, or no altitude gap
+        if not float((d * d) @ var_w) > 0.0:  # every f_k is 0 or 1, or no altitude gap
             exact_match = stats.var_work == 0.0 and stats.mean_work == ws.mean
         elif ws.variance == 0.0:  # underflowed, and the sample variance with it
             raise ValueError("work variance too small for a float")
         elif n > 1:
             var = math.ldexp(ws.variance, 2 * e)
-            kappa4 = float((d**4) @ (pq * (1.0 - 6.0 * pq)))
+            kappa4 = float((d**4) @ kappa4_w)
             mu4 = kappa4 + 3.0 * var**2
             se_var = math.sqrt((mu4 - var**2 * (n - 3) / (n - 1)) / n)
             z_var = (math.ldexp(stats.var_work, 2 * e) - var) / se_var
-        if 2**len(spec.altitudes) <= _CODES and stats.bin_width is None:
+        if _enumerable([v for v, _ in spec.laws]) and stats.bin_width is None:
             values, probs = exact_work_distribution(spec)
             keys = np.fromiter(stats.histogram, dtype=float, count=len(stats.histogram))
             freq = np.fromiter(stats.histogram.values(), dtype=float, count=len(keys)) / n

@@ -66,24 +66,6 @@ class Reservoir:
         return int(self.counts.sum())
 
     @cached_property
-    def total_weight(self) -> float:
-        """Summed weight of the population."""
-        return float(self.weights @ self.counts)
-
-    @cached_property
-    def mean_weight(self) -> float:
-        """Expected weight of a uniform draw; equals the excited fraction for 0/1 weights."""
-        return self.total_weight / self.total
-
-    @cached_property
-    def weight_variance(self) -> float:
-        """Variance of the weight of a uniform draw."""
-        mw = self.mean_weight
-        second = float((self.weights * self.weights) @ self.counts) / self.total
-        var = second - mw * mw
-        return var if var > 0.0 else 0.0
-
-    @cached_property
     def cumulative_counts(self) -> np.ndarray:
         """Cumulative class counts used to map a uniform ball index to a weight."""
         return np.cumsum(self.counts)

@@ -7,15 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnengine import analytic, thermo
+from urnengine import analytic, montecarlo, thermo
 
 
-def ring(eps, f, bernoulli=True):
-    return analytic.RingSpec(
-        altitudes=np.asarray(eps, dtype=float),
-        mean_weights=np.asarray(f, dtype=float),
-        bernoulli_f=np.asarray(f, dtype=float) if bernoulli else None,
-    )
+def ring(eps, f):
+    return analytic.RingSpec.bernoulli(eps, f)
+
+
+# weights 0, 1 and 2.5 at four reservoirs
+MIXED = analytic.RingSpec([1.0, 1.3, 2.9, 2.2], [
+    ((0.0, 1.0, 2.5), (0.5, 0.3, 0.2)),
+    ((0.0, 2.5), (0.75, 0.25)),
+    ((1.0,), (1.0,)),
+    ((0.0, 1.0, 2.5), (0.125, 0.625, 0.25)),
+])
 
 
 def test_otto_heats_work_efficiency_oracle():
@@ -41,7 +46,7 @@ def test_otto_pump_sign():
 
 def test_mean_heats_overflow_is_a_domain_error():
     # Q_high = 2 * (0.2 - 1e308) overflows to -inf, and W to inf
-    spec = analytic.RingSpec(altitudes=[1.0, 2.0], mean_weights=[0.2, 1e308])
+    spec = analytic.RingSpec([1.0, 2.0], [((0.0, 1.0), (0.8, 0.2)), ((1e308,), (1.0,))])
     with pytest.raises(ValueError, match="mean heats too large for a float"):
         analytic.mean_heats_ring(spec)
 
@@ -61,7 +66,8 @@ def test_from_counts_is_the_ring_at_fractions_n_over_total():
     spec = analytic.RingSpec.from_counts([1.0, 1.5, 3.0, 2.5], [2, 3, 5, 4], 10)
     assert spec.m == 2
     assert np.array_equal(spec.mean_weights, [0.2, 0.3, 0.5, 0.4])
-    assert np.array_equal(spec.bernoulli_f, spec.mean_weights)
+    assert spec.laws == tuple(((0.0, 1.0), (1.0 - f, f)) for f in (0.2, 0.3, 0.5, 0.4))
+    assert spec.two_level
     # every low altitude lies below every high one
     with pytest.raises(ValueError, match="invalid altitude order"):
         analytic.RingSpec.from_counts([1.0, 3.0, 2.0, 4.0], [2, 3, 5, 4], 10)
@@ -82,17 +88,36 @@ def test_work_statistics_zero_mean_ratio_is_none():
     assert ws.ratio is None
 
 
-def test_work_statistics_requires_bernoulli():
-    spec = ring([1.0, 2.0], [0.2, 0.3], bernoulli=False)
-    with pytest.raises(ValueError, match="bernoulli"):
-        analytic.work_statistics_ring(spec)
+def test_law_cumulants_of_a_mixed_ring():
+    # reservoir 0: mean 0.8, E[w^2] = 0.3 + 1.25 = 1.55, so Var = 0.91; a
+    # point mass has no spread; two values a, b take (b-a)^2 pq
+    var, kappa4 = MIXED.cumulants
+    assert not MIXED.two_level
+    np.testing.assert_allclose(MIXED.mean_weights, [0.8, 0.625, 1.0, 1.25], rtol=1e-15)
+    np.testing.assert_allclose(var, [0.91, 6.25 * 0.1875, 0.0, 0.625], rtol=1e-14)
+    assert kappa4[1] == 2.5**4 * 0.1875 * (1.0 - 6.0 * 0.1875) and kappa4[2] == 0.0
+    # kappa_4 = mu_4 - 3 mu_2^2 of reservoir 0
+    mu4 = 0.5 * 0.8**4 + 0.3 * 0.2**4 + 0.2 * 1.7**4
+    assert kappa4[0] == pytest.approx(mu4 - 3.0 * 0.91**2, rel=1e-13)
 
 
-def test_work_statistics_general_validation():
-    with pytest.raises(ValueError, match="equal 1-d shapes"):
-        analytic.work_statistics_general([1.0, 2.0], [0.5, 0.5], [0.25])
-    with pytest.raises(ValueError, match="invalid population"):
-        analytic.work_statistics_general([1.0, 2.0], [0.5, 0.5], [0.25, -0.25])
+@pytest.mark.parametrize("laws, message", [
+    ([((0.0, 1.0), (math.nan, 1.0)), ((0.0, 1.0), (0.5, 0.5))], "invalid population"),
+    ([((0.0, 1.0), (-0.1, 1.1)), ((0.0, 1.0), (0.5, 0.5))], "invalid population"),
+    ([((0.0, 1.0), (0.5, 0.6)), ((0.0, 1.0), (0.5, 0.5))], "invalid population"),
+    ([((0.0, 1.0), (0.3, 0.3)), ((0.0, 1.0), (0.5, 0.5))], "invalid population"),
+    ([((-1.0, 1.0), (0.5, 0.5)), ((0.0, 1.0), (0.5, 0.5))], "invalid population"),
+    ([((0.0, math.inf), (0.5, 0.5)), ((0.0, 1.0), (0.5, 0.5))], "invalid population"),
+    ([((0.0, math.nan), (0.5, 0.5)), ((0.0, 1.0), (0.5, 0.5))], "invalid population"),
+    ([((0.0, 1.0), (1.0,)), ((0.0, 1.0), (0.5, 0.5))], "invalid population"),
+    ([((), ()), ((0.0, 1.0), (0.5, 0.5))], "invalid population"),
+    ([((0.0, 1.0), (0.5, 0.5))], "ring must hold"),
+    ([((0.0, 1.0), (0.5, 0.5))] * 3, "ring must hold"),
+], ids=["nan prob", "negative prob", "sum above 1", "sum below 1", "negative value", "inf value",
+        "nan value", "unpaired", "empty", "one law", "three laws"])
+def test_ring_spec_law_validation(laws, message):
+    with pytest.raises(ValueError, match=message):
+        analytic.RingSpec([1.0, 2.0], laws)
 
 
 def test_ring_heats_telescope_to_work():
@@ -157,7 +182,7 @@ def test_equilibrium_ring_occupancies():
     assert spec.m == 2
     assert spec.mean_weights[0] == pytest.approx(thermo.occupancy(1.38 * 1.0), rel=1e-15)
     assert spec.mean_weights[3] == pytest.approx(thermo.occupancy(0.42 * 3.3), rel=1e-15)
-    assert spec.bernoulli_f is not None
+    assert spec.two_level
 
 
 def test_equilibrium_ring_validation():
@@ -178,37 +203,29 @@ def test_thermal_otto_work_matches_equilibrium_ring():
 
 def test_ring_spec_validation():
     with pytest.raises(ValueError, match="ring must hold"):
-        analytic.RingSpec(altitudes=np.array([1.0]), mean_weights=np.array([0.2]))
+        ring([1.0], [0.2])
     with pytest.raises(ValueError, match="ring must hold"):
-        analytic.RingSpec(altitudes=np.array([1.0, 2.0, 3.0]), mean_weights=np.array([0.2, 0.3, 0.1]))
+        ring([1.0, 2.0, 3.0], [0.2, 0.3, 0.1])
+    with pytest.raises(ValueError, match="ring must hold"):
+        ring([1.0, 2.0], [0.2, 0.3, 0.1])
     with pytest.raises(ValueError, match="invalid altitude"):
-        analytic.RingSpec(altitudes=np.array([1.0, -2.0]), mean_weights=np.array([0.2, 0.3]))
-    # general mean weights may exceed 1 (multiclass balls); 0/1 fractions may not
-    analytic.RingSpec(altitudes=np.array([1.0, 2.0]), mean_weights=np.array([0.2, 1.3]))
-    with pytest.raises(ValueError, match="invalid population"):
-        analytic.RingSpec(
-            altitudes=np.array([1.0, 2.0]),
-            mean_weights=np.array([0.2, 0.3]),
-            bernoulli_f=np.array([0.2, 1.3]),
-        )
-    # 0/1 fractions are the mean weights, so a ring cannot have two differing ones
-    with pytest.raises(ValueError, match="invalid population"):
-        analytic.RingSpec(
-            altitudes=np.array([1.0, 2.0]),
-            mean_weights=np.array([0.2, 0.3]),
-            bernoulli_f=np.array([0.5, 0.9]),
-        )
-    with pytest.raises(ValueError, match="invalid population"):
-        analytic.RingSpec(altitudes=np.array([1.0, 2.0]), mean_weights=np.array([0.2, -0.1]))
+        ring([1.0, -2.0], [0.2, 0.3])
+    # general weights may exceed 1 (multiclass balls); 0/1 fractions may not
+    assert analytic.RingSpec([1.0, 2.0], [((0.0, 1.0), (0.8, 0.2)), ((1.3,), (1.0,))]).mean_weights[1] == 1.3
+    for f in ([0.2, 1.3], [0.2, -0.1], [0.2, math.nan]):
+        with pytest.raises(ValueError, match="invalid population"):
+            ring([1.0, 2.0], f)
 
 
 def test_ring_spec_copies_input_arrays():
     eps = np.array([1.0, 2.0])
     f = np.array([0.2, 0.3])
-    spec = analytic.RingSpec(altitudes=eps, mean_weights=f)
+    spec = ring(eps, f)
     eps[0] = 99.0
-    assert spec.altitudes[0] == 1.0
+    f[0] = 0.9
+    assert spec.altitudes[0] == 1.0 and spec.mean_weights[0] == 0.2
     assert eps.flags.writeable  # the caller's array is untouched
+    assert not spec.altitudes.flags.writeable and not spec.mean_weights.flags.writeable
 
 
 @given(
@@ -224,17 +241,16 @@ def test_efficiency_scale_invariant(eps_l, gap, a):
     )
 
 
-@given(st.integers(min_value=0, max_value=2**32))
-@settings(max_examples=60)
-def test_general_variance_reduces_to_bernoulli(seed):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 4))
-    eps = np.cumsum(rng.uniform(0.1, 2.0, size=2 * m))
-    f = rng.uniform(0.0, 1.0, size=2 * m)
-    ws_b = analytic.work_statistics_ring(ring(eps, f))
-    ws_g = analytic.work_statistics_general(eps, f, f * (1.0 - f))
-    assert ws_g.mean == pytest.approx(ws_b.mean, abs=1e-14)
-    assert ws_g.variance == pytest.approx(ws_b.variance, abs=1e-14)
+def test_mixed_work_statistics_match_the_enumeration():
+    # the closed forms sum per-reservoir cumulants; the enumeration weighs
+    # every draw code's work by its probability
+    values, probs = montecarlo.exact_work_distribution(MIXED)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-15)
+    mean = float(values @ probs)
+    ws = analytic.work_statistics_ring(MIXED)
+    assert abs(ws.mean - mean) <= 1e-12
+    assert abs(ws.variance - float(((values - mean) ** 2) @ probs)) <= 1e-12
+    assert ws.mean == pytest.approx(analytic.mean_heats_ring(MIXED)[2], abs=1e-14)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -246,7 +262,7 @@ def test_integral_fluctuation_relation_by_enumeration(m, beta_l, beta_h):
     rng = np.random.default_rng(100 * m + 7)
     eps = rng.uniform(0.1, 3.0, 2 * m)
     spec = analytic.equilibrium_ring(beta_l, beta_h, eps[:m], eps[m:])
-    f = spec.bernoulli_f
+    f = spec.mean_weights
     beta = np.repeat([beta_l, beta_h], m)
     w = (np.arange(2 ** (2 * m))[:, None] >> np.arange(2 * m)) & 1  # every draw outcome
     p = np.prod(np.where(w == 1, f, 1.0 - f), axis=1)

@@ -1,9 +1,12 @@
 """Command-line interface: document shape, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 import time
@@ -98,25 +101,23 @@ def test_repeated_invocations_byte_identical(capsys):
 
 
 def test_csv_header_and_order(capsys):
-    code, out, _ = run_cli(["analytic", "variance", "--eps", "1,2",
+    code, out, _ = run_cli(["analytic", "ring", "--eps", "1,2",
                             "--f", "0.2,0.3", "--format", "csv"], capsys)
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["eps", "f", "mean_W", "var_W", "ratio"]
+    assert rows[0] == ["eps", "f", "Q_low", "Q_high", "W", "mean_W", "var_W", "ratio"]
     assert len(rows) == 2
     # list-valued cells join with semicolons
     assert rows[1][0] == "1.0;2.0"
-    assert float(rows[1][3]) == pytest.approx(0.37, abs=1e-12)
+    assert float(rows[1][6]) == pytest.approx(0.37, abs=1e-12)
 
 
 # One invocation per subcommand with its CSV header: a scalar document's
 # columns are its inputs in flag order, then its outputs.
 CSV_HEADERS = {
     "analytic otto": (OTTO, "eps_l,eps_h,N,n_l,n_h,W,eta,Q_l,Q_h,var_W,beta_l,beta_h,eta_carnot"),
-    "analytic ring": (["analytic", "ring", "--eps", "1,2", "--f-mean", "0.2,0.3", "--f", "0.2,0.3"],
-                      "eps,f_mean,f,Q_low,Q_high,W,mean_W,var_W,ratio"),
-    "analytic variance": (["analytic", "variance", "--eps", "1,2", "--f", "0.2,0.3"],
-                          "eps,f,mean_W,var_W,ratio"),
+    "analytic ring": (["analytic", "ring", "--eps", "1,2", "--f", "0.2,0.3"],
+                      "eps,f,Q_low,Q_high,W,mean_W,var_W,ratio"),
     "thermo beta": (["thermo", "beta", "--n", "2", "--N", "10", "--eps", "1"], "n,N,eps,beta,temperature"),
     "thermo occupancy": (["thermo", "occupancy", "--x", "0.5"], "x,f"),
     "thermo entropy": (["thermo", "entropy", "--x", "0", "--levels", "3"], "x,y,levels,s"),
@@ -395,9 +396,9 @@ _REDUCED = ["--beta-l", "1.38", "--beta-h", "0.42", "--l1", "1.38", "--lm", "1.5
     (["continuum", "reversible", "--beta-l", "1", "--beta-h", "0.5", "--l1", "nan", "--lm", "2"],
      "invalid reduced endpoint cold_first: altitude must be positive"),
     (["thermo", "entropy", "--x", "0.5", "--levels", "1" + "0" * 400], "levels too large for a float"),
-    (["analytic", "variance", "--eps", "1,1e308", "--f", "0.5,0.5"], "work statistics too large for a float"),
-    # for 0/1 weights the excited fraction is the mean weight: two differing ones are no ring
-    (["analytic", "ring", "--eps", "1,2", "--f-mean", "0.2,0.3", "--f", "0.5,0.9"], "invalid population"),
+    (["analytic", "ring", "--eps", "1,1e308", "--f", "0.5,0.5"], "work statistics too large for a float"),
+    # an excited fraction is a probability
+    (["analytic", "ring", "--eps", "1,2", "--f", "0.2,1.3"], "invalid population"),
     # a closed form that overflows a float: 1/beta_l at beta_l = 1e-320 ...
     (["continuum", "wmax", "--beta-l", "1e-320", "--beta-h", "1"], "reversible work too large for a float"),
     (["continuum", "reversible", "--beta-l", "1e-320", "--beta-h", "1", "--l1", "1e-321", "--lm", "2e-320"],
@@ -405,8 +406,8 @@ _REDUCED = ["--beta-l", "1.38", "--beta-h", "0.42", "--l1", "1.38", "--lm", "1.5
     # ... eta = 1 - beta_h/beta_l alone ...
     (["continuum", "reversible", "--beta-l", "1e-300", "--beta-h", "1e10", "--l1", "1e-301", "--lm", "2e-300"],
      "reversible work or efficiency too large for a float"),
-    # ... Q_high = 2 * (0.2 - 1e308) ...
-    (["analytic", "ring", "--eps", "1,2", "--f-mean", "0.2,1e308"], "mean heats too large for a float"),
+    # ... W = -(Q_low + Q_high), each near 1.7e308 ...
+    (["analytic", "ring", "--eps", "1,1.7e308,1,1.7e308", "--f", "1,0,1,0"], "mean heats too large for a float"),
     # ... or the variance, checked before any draw (the draws would warn of overflow)
     (["simulate", "--eps", "1,1e308", "--n", "2,3", "--N", "10", "--trials", "10", "--seed", "0"],
      "work statistics too large for a float"),
@@ -436,9 +437,11 @@ def test_simulate_overflow_writes_one_json_line():
     assert proc.stderr == json.dumps({"error": "work statistics too large for a float"}) + "\n"
 
 
-# Each input has one spelling: the Otto-form simulate flags and the raw
-# altitudes of continuum heats|reversible are gone, so argparse rejects them.
+# Each input has one spelling: the Otto-form simulate flags, the raw
+# altitudes of continuum heats|reversible, analytic ring's mean weights and
+# the analytic variance subcommand are gone, so argparse rejects them.
 _REMOVED_FLAGS = {
+    "analytic ring": (["analytic", "ring", "--eps", "1,2", "--f", "0.2,0.3"], ["--f-mean"]),
     "simulate": (["simulate", "--eps", "1,2", "--n", "2,3", "--N", "10", "--trials", "10", "--seed", "0"],
                  ["--eps-l", "--eps-h", "--n-l", "--n-h"]),
     "continuum heats": (["continuum", "heats", *_REDUCED, "--h1", "1.512", "--hm", "1.386"],
@@ -447,18 +450,44 @@ _REMOVED_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("argv, flag", [pytest.param(argv, flag, id=f"{name} {flag}")
-                                        for name, (argv, flags) in _REMOVED_FLAGS.items()
-                                        for flag in flags])
-def test_removed_input_flags_exit_two(argv, flag, tmp_path, capsys):
+_REMOVED = [pytest.param([*argv, flag, "1"], f"unrecognized arguments: {flag} 1", id=f"{name} {flag}")
+            for name, (argv, flags) in _REMOVED_FLAGS.items() for flag in flags]
+_REMOVED.append(pytest.param(["analytic", "variance", "--eps", "1,2", "--f", "0.2,0.3"],
+                             "invalid choice: 'variance'", id="analytic variance"))
+
+
+@pytest.mark.parametrize("argv, message", _REMOVED)
+def test_removed_input_flags_exit_two(argv, message, tmp_path, capsys):
     path = tmp_path / "doc"
     with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, flag, "1", "--output", str(path)])
+        cli.main([*argv, "--output", str(path)])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"unrecognized arguments: {flag} 1" in captured.err
+    assert message in captured.err
     assert not path.exists()
+
+
+def _parser_commands(parser):
+    """Each command of a parser: a group as (name, its subcommands), else its name."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands = []
+    for name, child in sub.choices.items():
+        nested = [a for a in child._actions if isinstance(a, argparse._SubParsersAction)]
+        commands.append((name, list(nested[0].choices)) if nested else name)
+    return commands
+
+
+def test_readme_names_every_subcommand():
+    # README's "Subcommands:" sentence, e.g. `analytic {otto, ring}`, `simulate`
+    with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")) as fh:
+        text = fh.read()
+    sentence = " ".join(text.split("Subcommands: ", 1)[1].split(". ", 1)[0].split())
+    named = []
+    for item in re.findall(r"`([^`]+)`", sentence):
+        group, _, rest = item.partition(" {")
+        named.append((group, [c.strip() for c in rest.rstrip("}").split(",")]) if rest else group)
+    assert named == _parser_commands(cli.build_parser())
 
 
 def test_frontier_overflowing_default_extent_names_the_flag(capsys):
@@ -683,7 +712,7 @@ def test_frontier_writer_matches_dict_rows(m, fmt, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["analytic", "otto", "--eps-l", "1", "--eps-h", "2", "--N", "100", "--n-l", "0", "--n-h", "30"],
-    ["analytic", "ring", "--eps", "1,1.5,2.5,2", "--f-mean", "0.2,0.25,0.3,0.35"],
+    ["analytic", "ring", "--eps", "1,1.5,2.5,2", "--f", "0.2,0.25,0.3,0.35"],
     ["simulate", "--eps", "1,2", "--n", "20,30", "--N", "100", "--trials", "1000", "--seed", "1"],
     ["continuum", "heats", "--beta-l", "1.38", "--beta-h", "0.42",
      "--l1", "3", "--lm", "0.5", "--h1", "0.2", "--hm", "1.5"],  # the hot side absorbs: eta is null

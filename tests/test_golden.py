@@ -11,6 +11,7 @@ through exp/log can differ in the last bit between numpy builds and CPUs,
 so fixtures belong to the platform that wrote them.
 """
 
+import json
 import os
 import sys
 
@@ -28,9 +29,7 @@ CASES = {
                                   "--N", "10000", "--n-l", "2000", "--n-h", "3000"],
     "analytic_otto_pump.json": ["analytic", "otto", "--eps-l", "1", "--eps-h", "2",
                                 "--N", "10000", "--n-l", "3000", "--n-h", "2000"],
-    "analytic_ring.json": ["analytic", "ring", "--eps", "1,1.5,2.5,2",
-                           "--f-mean", "0.2,0.25,0.3,0.35", "--f", "0.2,0.25,0.3,0.35"],
-    "analytic_variance.json": ["analytic", "variance", "--eps", "1,2", "--f", "0.2,0.3"],
+    "analytic_ring.json": ["analytic", "ring", "--eps", "1,1.5,2.5,2", "--f", "0.2,0.25,0.3,0.35"],
     "thermo_beta.json": ["thermo", "beta", "--n", "2000", "--N", "10000", "--eps", "1"],
     "thermo_occupancy.json": ["thermo", "occupancy", "--x", "0.5"],
     "thermo_entropy.json": ["thermo", "entropy", "--x", "1.2", "--y", "0.7"],
@@ -65,6 +64,15 @@ def test_golden_document(name, tmp_path):
     with open(os.path.join(GOLDEN, name), "rb") as fh:
         expected = fh.read()
     assert out.read_bytes() == expected
+
+
+def test_analytic_ring_keeps_the_variance_outputs(tmp_path):
+    # the outputs of the removed `analytic variance --eps 1,2 --f 0.2,0.3`
+    out = tmp_path / "ring.json"
+    assert cli.main(["analytic", "ring", "--eps", "1,2", "--f", "0.2,0.3", "--output", str(out)]) == 0
+    outputs = json.loads(out.read_text())["outputs"]
+    assert [outputs[k].hex() for k in ("mean_W", "var_W", "ratio")] == [
+        (0.09999999999999998).hex(), (0.37).hex(), (3.7000000000000006).hex()]
 
 
 if __name__ == "__main__":

@@ -106,7 +106,7 @@ def test_exact_distribution_matches_variance_formula():
         m = int(rng.integers(1, 4))
         eps = np.cumsum(rng.uniform(0.1, 2.0, size=2 * m))
         f = rng.uniform(0.0, 1.0, size=2 * m)
-        spec = analytic.RingSpec(altitudes=eps, mean_weights=f, bernoulli_f=f)
+        spec = analytic.RingSpec.bernoulli(eps, f)
         values, probs = montecarlo.exact_work_distribution(spec)
         ws = analytic.work_statistics_ring(spec)
         mean = float(values @ probs)
@@ -116,16 +116,37 @@ def test_exact_distribution_matches_variance_formula():
 
 
 def test_exact_distribution_limits():
-    big = analytic.RingSpec(
-        altitudes=np.cumsum(np.ones(22)),
-        mean_weights=np.full(22, 0.5),
-        bernoulli_f=np.full(22, 0.5),
-    )
-    with pytest.raises(ValueError, match="enumeration limited"):
-        montecarlo.exact_work_distribution(big)
-    no_f = analytic.RingSpec(altitudes=np.array([1.0, 2.0]), mean_weights=np.array([0.2, 0.3]))
-    with pytest.raises(ValueError, match="bernoulli"):
-        montecarlo.exact_work_distribution(no_f)
+    # 2^22 codes of a 0/1 ring, 3^14 of a ring of three weights
+    big = analytic.RingSpec.bernoulli(np.cumsum(np.ones(22)), np.full(22, 0.5))
+    wide = analytic.RingSpec(np.cumsum(np.ones(14)), [((0.0, 1.0, 2.5), (0.5, 0.25, 0.25))] * 14)
+    for spec in (big, wide):
+        with pytest.raises(ValueError, match="enumeration limited"):
+            montecarlo.exact_work_distribution(spec)
+
+
+@pytest.mark.parametrize("ring", [
+    otto_oracle_ring(),
+    urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9),
+    urn.two_level_ring([1.0, 2.0], [3, 2**62 + 1], 2**63 - 1),
+    urn.two_level_ring([1.0, 1.5, 2.5, 2.0], [2**53 + 1, 5, 2**60, 2**62], 2**62 + 3),
+], ids=["otto", "2m=4", "N=2^63-1", "N=2^62+3"])
+def test_ring_spec_of_a_0_1_ring_is_from_counts(ring):
+    # reservoirs that hold both weights: the same laws, bit for bit
+    spec = montecarlo.ring_spec_of(ring)
+    excited = [int(r.counts[1]) for r in ring.reservoirs]
+    counted = analytic.RingSpec.from_counts(ring.altitudes, excited, ring.total)
+    assert [[list(map(float.hex, part)) for part in law] for law in spec.laws] == [
+        [list(map(float.hex, part)) for part in law] for law in counted.laws]
+    assert spec.mean_weights.tobytes() == counted.mean_weights.tobytes()
+
+
+def test_ring_spec_of_a_mixed_ring_copies_its_classes():
+    low = urn.make_reservoir(1.0, {0.0: 3, 1.0: 5, 2.5: 2}, urn.Group.LOW)
+    high = urn.make_reservoir(2.0, {2.5: 10}, urn.Group.HIGH)
+    spec = montecarlo.ring_spec_of(urn.EngineRing((low, high)))
+    # class c at n_c/N, the first class at 1 minus the rest
+    assert spec.laws == (((0.0, 1.0, 2.5), (1.0 - math.fsum([0.5, 0.2]), 0.5, 0.2)), ((2.5,), (1.0,)))
+    assert not spec.two_level
 
 
 def test_simulated_support_is_subset_of_enumerated():
@@ -162,12 +183,12 @@ def test_wrong_spec_fails_the_comparison():
     stats = montecarlo.run_ensemble(otto_oracle_ring(), 20_000, seed=3)
     # a mean off by 0.3 at the run's standard error
     f = np.array([0.5, 0.3])
-    report = montecarlo.compare_to_analytic(stats, analytic.RingSpec([1.0, 2.0], f, f))
+    report = montecarlo.compare_to_analytic(stats, analytic.RingSpec.bernoulli([1.0, 2.0], f))
     assert report.z_mean == pytest.approx(70.4, abs=0.1)
     assert not report.passed
     # a deterministic spec against varying draws
     f = np.array([1.0, 1.0])
-    report = montecarlo.compare_to_analytic(stats, analytic.RingSpec([1.0, 2.0], f, f))
+    report = montecarlo.compare_to_analytic(stats, analytic.RingSpec.bernoulli([1.0, 2.0], f))
     assert report.exact_match is False
     assert not report.passed
 
@@ -177,7 +198,7 @@ def test_underflowing_work_variance_is_a_domain_error():
     # does the sample variance
     stats = montecarlo.run_ensemble(urn.two_level_ring([1e-320, 2e-320], [2, 3], 10), 1000, seed=1)
     with pytest.raises(ValueError, match="work variance too small for a float"):
-        montecarlo.compare_to_analytic(stats, analytic.RingSpec([1e-320, 2e-320], [0.2, 0.3], [0.2, 0.3]))
+        montecarlo.compare_to_analytic(stats, analytic.RingSpec.bernoulli([1e-320, 2e-320], [0.2, 0.3]))
     # pinned weights, or no altitude gap, stay deterministic at any scale
     for eps, n in (([1e-320, 2e-320], [0, 10]), ([1.0, 1.0], [3, 3])):
         ring = urn.two_level_ring(eps, n, 10)
@@ -207,10 +228,7 @@ def test_multiclass_ring_binned_histogram():
 def test_compare_rejects_mismatched_spec():
     ring = otto_oracle_ring()
     stats = montecarlo.run_ensemble(ring, 1_000, seed=1)
-    wrong = analytic.RingSpec(
-        altitudes=np.array([1.0, 2.0, 3.0, 4.0]),
-        mean_weights=np.array([0.2, 0.3, 0.2, 0.3]),
-    )
+    wrong = analytic.RingSpec.bernoulli([1.0, 2.0, 3.0, 4.0], [0.2, 0.3, 0.2, 0.3])
     with pytest.raises(ValueError, match="spec/stats mismatch"):
         montecarlo.compare_to_analytic(stats, wrong)
 
@@ -372,6 +390,22 @@ def test_3_14_code_ring_takes_trial_path():
     assert (a.mean_work, a.var_work, a.bin_width) == (b.mean_work, b.var_work, b.bin_width)
     assert list(a.histogram.items()) == list(b.histogram.items())
     assert np.array_equal(a.mean_heats, b.mean_heats)
+
+
+def test_code_audit_decodes_each_column_twice(monkeypatch):
+    ring = MIXED_RINGS["0/1/2.5 2m=8"]
+    tables = montecarlo._Tables(ring)
+    counts = montecarlo._code_stats(tables, montecarlo._ball_indices(tables, 3, 0, 5000)).hist
+    hist, violations = montecarlo._code_summary(tables, counts)
+    audit, calls = montecarlo._work_audit, []
+
+    def counted(tables, column):
+        return audit(tables, lambda k: calls.append(k) or column(k))
+
+    monkeypatch.setattr(montecarlo, "_work_audit", counted)
+    again, violations_again = montecarlo._code_summary(tables, counts)
+    assert len(calls) <= 2 * 8 + 1
+    assert np.array_equal(again, hist) and violations_again == violations
 
 
 def test_code_audit_counts_the_trials_the_trial_audit_counts():
@@ -543,6 +577,18 @@ def test_tv_enumeration_follows_the_code_limit(monkeypatch):
     monkeypatch.setattr(montecarlo, "_CODES", 8)  # fewer than the ring's 2^4 outcomes
     report = montecarlo.compare_to_analytic(stats, spec)
     assert report.tv_distance is None and report.passed
+
+
+def test_tv_enumeration_counts_the_law_codes():
+    # two pinned reservoirs hold one class each: 2^20 codes, so TV over 2m = 22
+    rng = np.random.default_rng(8)
+    excited = rng.integers(50, 400, 22)
+    excited[[3, 15]] = 0, 1000
+    ring = urn.two_level_ring(_altitudes(rng, 22), excited, 1000)
+    stats = montecarlo.run_ensemble(ring, 20_000, seed=6)
+    report = montecarlo.compare_to_analytic(stats, montecarlo.ring_spec_of(ring))
+    assert 0.0 < report.tv_distance < 1.0
+    assert report.passed
 
 
 def test_tv_distance_matches_dict_reference():

@@ -15,9 +15,8 @@ from urnengine import montecarlo, urn
 def test_make_reservoir_basic():
     r = urn.make_reservoir(1.0, {0.0: 7, 1.0: 3}, urn.Group.LOW)
     assert r.total == 10
-    assert r.total_weight == 3.0
-    assert r.mean_weight == pytest.approx(0.3)
-    assert r.weight_variance == pytest.approx(0.21)
+    assert list(r.weights) == [0.0, 1.0] and list(r.counts) == [7, 3]
+    assert list(r.cumulative_counts) == [7, 10]
     assert r.is_two_level
 
 
