@@ -1,29 +1,29 @@
 """Reproducible ensembles of exchange trials with mergeable statistics.
 
 Determinism contract: run_ensemble(ring, trials, seed) is bit-identical for
-any worker count.  Trial i derives its randomness from a counter-based Philox
-stream keyed by the seed: trial i owns the fixed counter window
-[i*B, (i+1)*B) of 4-word blocks (B sized so each trial has its reservoir
-draws plus at least four spare words), so any partition of trials over
-workers sees the same draws.  Trials are processed in fixed-size chunks
-regardless of worker count; each chunk reduces to partial statistics (count,
-mean, M2, per-reservoir heat means, work histogram, conservation violations)
-and the partials fold in place into one accumulator in chunk order as they
-arrive, which pins every floating point operation independent of scheduling
-and keeps memory flat in the number of chunks.
+any worker count.  Trial i draws words [2m i, 2m (i+1)) of a counter-based
+Philox stream keyed by the seed, and its s spare words (s >= 4 pads 2m + 4 to
+whole 4-word blocks) are words [s i, s (i+1)) of a second stream, keyed by
+seed + 2^64, which no seed reaches; so any partition of trials over workers
+sees the same words.  Trials are processed in fixed-size chunks regardless of
+worker count; each chunk reduces to partial statistics (count, mean, M2,
+per-reservoir heat means, work histogram, conservation violations) and the
+partials fold in place into one accumulator in chunk order as they arrive,
+which pins every floating point operation independent of scheduling and keeps
+memory flat in the number of chunks.
 
-Memory is bounded by a block of trials: a chunk draws raw words _BLOCK
-trials at a time from one Philox stream into a (2m, chunk) array of ball
-indices, uint32 when N <= 2^32 and uint64 otherwise; the trial path holds
-drawn weights one block at a time.  No trial straddles a block, so no result
-depends on _BLOCK.
+Memory is bounded by a block of trials: a chunk draws _BLOCK trials' words at
+a time into a (2m, chunk) array of ball indices, uint32 when N <= 2^32 and
+uint64 otherwise; the trial path holds drawn weights one block at a time.  No
+trial straddles a block, so no result depends on _BLOCK.
 
 Ball selection is exactly uniform: a 64-bit word r is accepted iff
-r < 2^64 - (2^64 mod N), making r mod N uniform over [0, N); a rejected word
-(probability p = (2^64 mod N)/2^64 per draw) is replaced from the trial's
-spare words in a deterministic order.  A trial runs out of spares iff fewer
-than 2m of its words are accepted; a run whose expected count of such trials
-exceeds 1e-6 is a domain error before any draw, since no seed can avoid it.
+r < 2^64 - (2^64 mod N), making r mod N uniform over [0, N); a rejected draw
+(probability p = (2^64 mod N)/2^64 per word) is replaced by the trial's
+accepted spares in ring order, and only a block with a rejected draw generates
+spares.  A trial runs out of spares iff fewer than 2m of its 2m + s words are
+accepted; a run whose expected count of such trials exceeds 1e-6 is a domain
+error before any draw, since no seed can avoid it.
 
 A trial's work is accumulated in ring order, W = ((d_0 w_0 + d_1 w_1) + ...)
 with d_k = eps_k - eps_{k+1}, and the heat into reservoir k is
@@ -112,12 +112,11 @@ class _Tables:
         rem = _WORD % self.total
         self.threshold = np.uint64(_WORD - rem) if rem else None
         self.two_level = all(r.is_two_level for r in ring.reservoirs)
-        # raw words per trial: one per reservoir plus >= 4 spares, block-aligned
-        self.blocks_per_trial = (n + 4 + 3) // 4
-        self.words_per_trial = 4 * self.blocks_per_trial
+        # spare words per trial: >= 4, padding draws plus spares to whole 4-word blocks
+        self.spares = 4 * ((n + 7) // 4) - n
         # a trial runs out of spares iff fewer than 2m of its words are accepted
         self.p_reject = p = rem / _WORD
-        words = self.words_per_trial
+        words = n + self.spares
         self.p_exhausted = math.fsum(math.comb(words, a) * (1.0 - p)**a * p**(words - a) for a in range(n))
         # work support bounds, for fixed-width binning of general weights
         lo = hi = 0.0
@@ -147,26 +146,33 @@ def _partial(work: np.ndarray, mean_heats: np.ndarray, hist, violations: int = 0
     return _Partial(len(work), mean, float(np.sum((work - mean) ** 2)), mean_heats, hist, violations)
 
 
+def _stream(key: int, word: int) -> np.random.Philox:
+    """Philox(key) positioned at its 64-bit word number ``word``."""
+    bg = np.random.Philox(key=key, counter=word // 4)
+    bg.random_raw(word % 4)
+    return bg
+
+
 def _ball_indices(tables: _Tables, key: int, lo: int, hi: int) -> np.ndarray:
     """Uniform ball indices in [0, N), shape (2m, hi-lo), drawn _BLOCK trials at a time."""
-    n_res, total, threshold = len(tables.eps), np.uint64(tables.total), tables.threshold
+    n_res, total, threshold, s = len(tables.eps), np.uint64(tables.total), tables.threshold, tables.spares
     balls = np.empty((n_res, hi - lo), dtype=tables.dtype)
-    bg = np.random.Philox(key=key, counter=lo * tables.blocks_per_trial)
+    bg = _stream(key, lo * n_res)
     for b in range(0, hi - lo, _BLOCK):
         n_tr = min(_BLOCK, hi - lo - b)
-        raw = bg.random_raw(n_tr * tables.words_per_trial).reshape(n_tr, tables.words_per_trial)
-        if threshold is not None and raw[:, :n_res].max() >= threshold:
-            # each trial's accepted spares replace its rejected draws in ring order
-            for t in np.flatnonzero((raw[:, :n_res] >= threshold).any(axis=1)):
-                rejected = raw[t, :n_res] >= threshold
-                accepted = raw[t, n_res:][raw[t, n_res:] < threshold]
+        draws = bg.random_raw(n_tr * n_res).reshape(n_tr, n_res).T.copy()
+        if threshold is not None and draws.max() >= threshold:
+            # the block's spare words, from a key no seed reaches; each trial's
+            # accepted spares replace its rejected draws in ring order
+            spares = _stream(key + _WORD, (lo + b) * s).random_raw(n_tr * s).reshape(n_tr, s)
+            for t in np.flatnonzero((draws >= threshold).any(axis=0)):
+                rejected = draws[:, t] >= threshold
+                accepted = spares[t][spares[t] < threshold]
                 if len(accepted) < np.count_nonzero(rejected):
                     raise RuntimeError("rejection spares exhausted; change the seed")
-                raw[t, :n_res][rejected] = accepted[:np.count_nonzero(rejected)]
+                draws[rejected, t] = accepted[:np.count_nonzero(rejected)]
         # r mod N as r - (r // N) N on contiguous draws: numpy divides those
         # by a scalar far faster than it takes a remainder
-        draws = raw[:, :n_res].T.copy()
-        del raw  # the block goes before the quotient is allocated
         draws -= draws // total * total
         balls[:, b:b + n_tr] = draws
     return balls

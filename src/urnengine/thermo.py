@@ -215,7 +215,7 @@ def log_degeneracy(N: int, n: int) -> float:
 
 
 def carnot_efficiency(beta_l: InverseTemperature | float, beta_h: InverseTemperature | float) -> float:
-    """Upper bound 1 - beta_h/beta_l on engine efficiency, clamped to 1.
+    """Upper bound 1 - beta_h/beta_l on engine efficiency, correctly rounded, clamped to 1.
 
     The clamp covers hot baths at negative temperature (beta_h/beta_l <= 0),
     where the raw ratio exceeds 1 but unity is the physical bound.
@@ -224,7 +224,11 @@ def carnot_efficiency(beta_l: InverseTemperature | float, beta_h: InverseTempera
     bh = float(beta_h)
     if bl == 0.0:
         raise ValueError("infinite cold temperature")
-    return min(1.0, 1.0 - bh / bl)
+    eta = 1.0 - bh / bl  # rounds twice: kept only where it overflows or a beta is infinite
+    if math.isfinite(eta) and math.isfinite(bl):
+        from fractions import Fraction  # loaded on first call, not at start-up
+        eta = float(1 - Fraction(bh) / Fraction(bl))
+    return min(1.0, eta)
 
 
 def _efficiency(work, q_high):

@@ -183,9 +183,12 @@ def test_wrong_spec_fails_the_comparison():
     stats = montecarlo.run_ensemble(otto_oracle_ring(), 20_000, seed=3)
     # a mean off by 0.3 at the run's standard error
     f = np.array([0.5, 0.3])
-    report = montecarlo.compare_to_analytic(stats, analytic.RingSpec.bernoulli([1.0, 2.0], f))
-    assert report.z_mean == pytest.approx(70.4, abs=0.1)
-    assert not report.passed
+    wrong = analytic.RingSpec.bernoulli([1.0, 2.0], f)
+    report = montecarlo.compare_to_analytic(stats, wrong)
+    expected = (stats.mean_work - analytic.mean_heats_ring(wrong)[2]) / stats.stderr_work
+    assert report.z_mean == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert report.z_mean > 60
+    assert report.passed is False
     # a deterministic spec against varying draws
     f = np.array([1.0, 1.0])
     report = montecarlo.compare_to_analytic(stats, analytic.RingSpec.bernoulli([1.0, 2.0], f))
@@ -435,21 +438,55 @@ def test_rejected_words_are_replaced_from_spares_in_ring_order(monkeypatch):
     total = 2**61 + 1
     ring = urn.two_level_ring([1.0, 2.0], [2**59, 2**60], total)
     tables = montecarlo._Tables(ring)
-    lo, hi, n_res = 7, 3000, 2
+    lo, hi, n_res, s = 7, 3000, 2, 6
+    assert tables.spares == s
     monkeypatch.setattr(montecarlo, "_BLOCK", 1000)  # block boundaries at trials 1007 and 2007
-    bg = np.random.Philox(key=5, counter=lo * tables.blocks_per_trial)
-    raw = bg.random_raw((hi - lo) * tables.words_per_trial).reshape(hi - lo, -1)
-    assert np.count_nonzero(raw[:, :n_res] >= tables.threshold) > 100
+    # trial i draws words [2i, 2i + 2) of Philox(5) and takes its spares from
+    # words [6i, 6i + 6) of Philox(5 + 2^64); neither start is block-aligned
+    main = np.random.Philox(key=5, counter=lo * n_res // 4)
+    main.random_raw(lo * n_res % 4)
+    raw = main.random_raw((hi - lo) * n_res).reshape(hi - lo, n_res)
+    spare = np.random.Philox(key=5 + 2**64, counter=lo * s // 4)
+    spare.random_raw(lo * s % 4)
+    spares = spare.random_raw((hi - lo) * s).reshape(hi - lo, s)
+    assert np.count_nonzero(raw >= tables.threshold) > 100
     expected = np.empty((n_res, hi - lo), dtype=np.uint64)
-    cursor = [n_res] * (hi - lo)
+    cursor = [0] * (hi - lo)
     for k in range(n_res):  # reservoir by reservoir, each trial's next spare
         for t in range(hi - lo):
             r = raw[t, k]
             while r >= tables.threshold:
-                r = raw[t, cursor[t]]
+                r = spares[t, cursor[t]]
                 cursor[t] += 1
             expected[k, t] = r % np.uint64(total)
     assert np.array_equal(montecarlo._ball_indices(tables, 5, lo, hi), expected)
+
+
+def test_spare_words_are_drawn_only_by_blocks_that_reject(monkeypatch):
+    stream, keys = montecarlo._stream, []
+
+    def recorded(key, word):
+        keys.append(key)
+        return stream(key, word)
+
+    monkeypatch.setattr(montecarlo, "_stream", recorded)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1000)
+    for total, spare_streams in ((2**61 + 1, 3), (10, 0)):  # 1/8 and 3e-19 of words rejected
+        keys.clear()
+        montecarlo._ball_indices(montecarlo._Tables(urn.two_level_ring([1.0, 2.0], [2, 3], total)), 5, 7, 3000)
+        assert keys == [5] + [5 + 2**64] * spare_streams
+
+
+def test_z_mean_is_calibrated_across_seeds():
+    # a layout in which adjacent trials share words correlates their work and
+    # moves the spread of z_mean over seeds away from 1 (to 0.45 when trial i
+    # reads words i and i + 1), which no single seed can show
+    ring = otto_oracle_ring()
+    spec = montecarlo.ring_spec_of(ring)
+    z = [montecarlo.compare_to_analytic(montecarlo.run_ensemble(ring, 2**14, seed), spec).z_mean
+         for seed in range(64)]
+    assert abs(np.mean(z)) <= 0.5
+    assert 0.7 <= np.std(z) <= 1.3
 
 
 def test_spare_exhaustion_probability_is_the_binomial_tail():

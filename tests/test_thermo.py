@@ -3,6 +3,7 @@
 import math
 import struct
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -230,6 +231,19 @@ def test_carnot_efficiency_values():
     assert thermo.carnot_efficiency(0.2007, -0.1003) == 1.0
     with pytest.raises(ValueError, match="infinite cold temperature"):
         thermo.carnot_efficiency(0.0, 0.42)
+
+
+def test_carnot_efficiency_is_correctly_rounded():
+    # the engine and pump goldens' betas; 1 - bh/bl rounds twice and lands
+    # one ulp high on both
+    for (n_l, n_h), eta in [((2000, 3000), 0.694401894665888), ((3000, 2000), 0.1819321008987483)]:
+        bl = thermo.beta_from_occupancy(n_l, 10_000, 1.0).beta
+        bh = thermo.beta_from_occupancy(n_h, 10_000, 2.0).beta
+        assert thermo.carnot_efficiency(bl, bh) == eta == float(1 - Fraction(bh) / Fraction(bl))
+        assert 1.0 - bh / bl == math.nextafter(eta, 1.0)
+    # an overflowing ratio or an infinite beta keeps 1 - beta_h/beta_l
+    assert thermo.carnot_efficiency(1e-300, 1e10) == -math.inf
+    assert thermo.carnot_efficiency(math.inf, 0.42) == 1.0
 
 
 @given(
