@@ -126,7 +126,8 @@ class RingSpec:
 
 @dataclass(frozen=True)
 class WorkStatistics:
-    """Mean and variance of one cycle's work; ratio is None when mean = 0."""
+    """Mean and variance of one cycle's work; ratio is None when the mean is
+    0 up to rounding."""
 
     mean: float
     variance: float
@@ -186,14 +187,16 @@ def mean_heats_ring(spec: RingSpec) -> tuple[float, float, float]:
 def work_statistics_ring(spec: RingSpec) -> WorkStatistics:
     """Exact mean and variance of one cycle's work, for any weight laws:
     draws are independent across reservoirs, so Var(W) = sum_k
-    (eps_k - eps_{k+1})^2 Var(w_k)."""
+    (eps_k - eps_{k+1})^2 Var(w_k).  A mean within 1e-12 sum_k |d_k mu_k| of
+    0 is rounding residue, as in the conservation audit, and has no ratio."""
     d = spec.altitudes - np.roll(spec.altitudes, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(d @ spec.mean_weights)
+        scale = float(np.abs(d * spec.mean_weights).sum())
         variance = float((d * d) @ spec.cumulants[0])
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise ValueError("work statistics too large for a float")
-    ratio = variance / mean if mean != 0.0 else None
+    ratio = variance / mean if abs(mean) > 1e-12 * scale else None
     return WorkStatistics(mean=mean, variance=variance, ratio=ratio)
 
 

@@ -1,29 +1,25 @@
 """Reproducible ensembles of exchange trials with mergeable statistics.
 
 Determinism contract: run_ensemble(ring, trials, seed) is bit-identical for
-any worker count.  Trial i draws words [2m i, 2m (i+1)) of a counter-based
-Philox stream keyed by the seed, and its s spare words (s >= 4 pads 2m + 4 to
-whole 4-word blocks) are words [s i, s (i+1)) of a second stream, keyed by
-seed + 2^64, which no seed reaches; so any partition of trials over workers
-sees the same words.  Trials are processed in fixed-size chunks regardless of
-worker count; each chunk reduces to partial statistics (count, mean, M2,
-per-reservoir heat means, work histogram, conservation violations) and the
-partials fold in place into one accumulator in chunk order as they arrive,
-which pins every floating point operation independent of scheduling and keeps
-memory flat in the number of chunks.
+any worker count.  Trials are processed in fixed-size chunks of _CHUNK trials
+regardless of worker count, and chunk c draws all its ball indices from its
+own stream, Philox keyed by the seed with counter c << 192, so any partition
+of chunks over workers sees the same draws.  Chunk streams start 2^192
+counter blocks apart, so no chunk reads another's words.  Each chunk reduces
+to partial statistics (count, mean, M2, per-reservoir heat means, work
+histogram, conservation violations) and the partials fold in place into one
+accumulator in chunk order as they arrive, which pins every floating point
+operation independent of scheduling and keeps memory flat in the number of
+chunks.
 
-Memory is bounded by a block of trials: a chunk draws _BLOCK trials' words at
-a time into a (2m, chunk) array of ball indices, uint32 when N <= 2^32 and
-uint64 otherwise; the trial path holds drawn weights one block at a time.  No
-trial straddles a block, so no result depends on _BLOCK.
-
-Ball selection is exactly uniform: a 64-bit word r is accepted iff
-r < 2^64 - (2^64 mod N), making r mod N uniform over [0, N); a rejected draw
-(probability p = (2^64 mod N)/2^64 per word) is replaced by the trial's
-accepted spares in ring order, and only a block with a rejected draw generates
-spares.  A trial runs out of spares iff fewer than 2m of its 2m + s words are
-accepted; a run whose expected count of such trials exceeds 1e-6 is a domain
-error before any draw, since no seed can avoid it.
+Ball selection is exactly uniform: a chunk draws its (2m, chunk) array of
+ball indices in [0, N) with one numpy Generator.integers call, one row per
+reservoir, and numpy resamples each draw that Lemire's multiply-and-reject
+method rejects from the chunk's own stream, so every N up to 2^63 - 1 runs,
+whatever the seed.  When N <= 2^32 the indices are uint32 and each takes one
+32-bit half-word; otherwise they are uint64.  Memory is bounded by one (2m, _CHUNK) index array per chunk in
+flight; the trial path holds drawn weights _BLOCK trials at a time, and no
+result depends on _BLOCK.
 
 A trial's work is accumulated in ring order, W = ((d_0 w_0 + d_1 w_1) + ...)
 with d_k = eps_k - eps_{k+1}, and the heat into reservoir k is
@@ -54,9 +50,7 @@ from .urn import EngineRing
 __all__ = _EXPORTS["montecarlo"]
 
 _CHUNK = 16384  # trials per accumulation chunk; fixed so worker count cannot affect results
-_BLOCK = 4096  # trials per raw-word draw and per trial-path weight block; results do not depend on it
-_EXHAUSTED = 1e-6  # most expected trials per run that run out of spare words
-_WORD = 1 << 64
+_BLOCK = 4096  # trials per trial-path weight block; results do not depend on it
 _HIST_BINS = 256
 _CODES = 1 << 20  # most draw codes tabulated per run, and the enumeration limit
 
@@ -109,15 +103,7 @@ class _Tables:
         self.dtype = np.uint32 if self.total <= 1 << 32 else np.uint64
         # class c of a ball index: the number of these boundaries at or below it
         self.bounds = [r.cumulative_counts[:-1].astype(self.dtype) for r in ring.reservoirs]
-        rem = _WORD % self.total
-        self.threshold = np.uint64(_WORD - rem) if rem else None
         self.two_level = all(r.is_two_level for r in ring.reservoirs)
-        # spare words per trial: >= 4, padding draws plus spares to whole 4-word blocks
-        self.spares = 4 * ((n + 7) // 4) - n
-        # a trial runs out of spares iff fewer than 2m of its words are accepted
-        self.p_reject = p = rem / _WORD
-        words = n + self.spares
-        self.p_exhausted = math.fsum(math.comb(words, a) * (1.0 - p)**a * p**(words - a) for a in range(n))
         # work support bounds, for fixed-width binning of general weights
         lo = hi = 0.0
         for k in range(n):
@@ -146,36 +132,10 @@ def _partial(work: np.ndarray, mean_heats: np.ndarray, hist, violations: int = 0
     return _Partial(len(work), mean, float(np.sum((work - mean) ** 2)), mean_heats, hist, violations)
 
 
-def _stream(key: int, word: int) -> np.random.Philox:
-    """Philox(key) positioned at its 64-bit word number ``word``."""
-    bg = np.random.Philox(key=key, counter=word // 4)
-    bg.random_raw(word % 4)
-    return bg
-
-
 def _ball_indices(tables: _Tables, key: int, lo: int, hi: int) -> np.ndarray:
-    """Uniform ball indices in [0, N), shape (2m, hi-lo), drawn _BLOCK trials at a time."""
-    n_res, total, threshold, s = len(tables.eps), np.uint64(tables.total), tables.threshold, tables.spares
-    balls = np.empty((n_res, hi - lo), dtype=tables.dtype)
-    bg = _stream(key, lo * n_res)
-    for b in range(0, hi - lo, _BLOCK):
-        n_tr = min(_BLOCK, hi - lo - b)
-        draws = bg.random_raw(n_tr * n_res).reshape(n_tr, n_res).T.copy()
-        if threshold is not None and draws.max() >= threshold:
-            # the block's spare words, from a key no seed reaches; each trial's
-            # accepted spares replace its rejected draws in ring order
-            spares = _stream(key + _WORD, (lo + b) * s).random_raw(n_tr * s).reshape(n_tr, s)
-            for t in np.flatnonzero((draws >= threshold).any(axis=0)):
-                rejected = draws[:, t] >= threshold
-                accepted = spares[t][spares[t] < threshold]
-                if len(accepted) < np.count_nonzero(rejected):
-                    raise RuntimeError("rejection spares exhausted; change the seed")
-                draws[rejected, t] = accepted[:np.count_nonzero(rejected)]
-        # r mod N as r - (r // N) N on contiguous draws: numpy divides those
-        # by a scalar far faster than it takes a remainder
-        draws -= draws // total * total
-        balls[:, b:b + n_tr] = draws
-    return balls
+    """Uniform ball indices in [0, N), shape (2m, hi-lo), from the stream of chunk lo // _CHUNK."""
+    g = np.random.Generator(np.random.Philox(key=key, counter=lo // _CHUNK << 192))
+    return g.integers(0, tables.total, size=(len(tables.eps), hi - lo), dtype=tables.dtype)
 
 
 def _work_audit(tables: _Tables, column):
@@ -309,11 +269,6 @@ def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> 
         raise ValueError("workers must be >= 1")
     key = _checked_seed(seed)
     tables = _Tables(ring)
-    if trials * tables.p_exhausted > _EXHAUSTED:
-        raise ValueError(
-            f"N = {tables.total} rejects a fraction p = {tables.p_reject:.3g} of random words: "
-            f"of {trials} trials, {trials * tables.p_exhausted:.3g} are expected to run out of "
-            f"spare words (at most {_EXHAUSTED:g} allowed)")
     ranges = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
     stats = _trial_stats if tables.code_work is None else _code_stats
     # partials fold into the accumulator in chunk order as they arrive

@@ -88,6 +88,19 @@ def test_work_statistics_zero_mean_ratio_is_none():
     assert ws.ratio is None
 
 
+@pytest.mark.parametrize("spec", [
+    ring([0.1, 0.2, 0.7, 0.3], [0.9] * 4),
+    analytic.RingSpec([0.1, 0.2, 0.7, 0.3], [((0.0, 1.0, 2.5), (0.1, 0.1, 0.8))] * 4),
+], ids=["0/1", "equal 0/1/2.5 laws"])
+def test_work_statistics_rounding_residue_mean_has_no_ratio(spec):
+    # equal weight laws everywhere: the mean work is 0, but the single sum
+    # sum_k d_k mu_k keeps the rounding residue of sum_k d_k
+    ws = analytic.work_statistics_ring(spec)
+    assert ws.mean != 0.0 and abs(ws.mean) < 1e-15
+    assert ws.variance > 0.0
+    assert ws.ratio is None
+
+
 def test_law_cumulants_of_a_mixed_ring():
     # reservoir 0: mean 0.8, E[w^2] = 0.3 + 1.25 = 1.55, so Var = 0.91; a
     # point mass has no spread; two values a, b take (b-a)^2 pq
