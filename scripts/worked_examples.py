@@ -14,32 +14,33 @@ from urnengine import analytic, continuum, thermo
 def main() -> None:
     n_total = 10_000
 
-    spec = analytic.RingSpec.from_counts([1.0, 2.0], [2000, 3000], n_total)
-    beta_l = thermo.beta_from_occupancy(2000, n_total, 1.0).beta
-    beta_h = thermo.beta_from_occupancy(3000, n_total, 2.0).beta
+    # the m = 1 ring: eta = W/(-Q_h) as an engine, COP = -Q_h/W as a pump
+    _, q_h, w = analytic.mean_heats_ring(analytic.RingSpec.from_counts([1.0, 2.0], [2000, 3000], n_total))
+    beta_l = thermo.beta_from_occupancy(2000, n_total, 1.0)
+    beta_h = thermo.beta_from_occupancy(3000, n_total, 2.0)
     print(
-        f"engine      W={analytic.mean_heats_ring(spec)[2]:+.4f}  "
-        f"eta={analytic.efficiency_otto(1.0, 2.0):.3f}  "
+        f"engine      W={w:+.4f}  "
+        f"eta={w / -q_h:.3f}  "
         f"beta=({beta_l:.4f}, {beta_h:.4f})  "
         f"eta_C={thermo.carnot_efficiency(beta_l, beta_h):.4f}"
     )
 
-    spec = analytic.RingSpec.from_counts([1.0, 2.0], [3000, 2000], n_total)
-    beta_l = thermo.beta_from_occupancy(3000, n_total, 1.0).beta
-    beta_h = thermo.beta_from_occupancy(2000, n_total, 2.0).beta
+    _, q_h, w = analytic.mean_heats_ring(analytic.RingSpec.from_counts([1.0, 2.0], [3000, 2000], n_total))
+    beta_l = thermo.beta_from_occupancy(3000, n_total, 1.0)
+    beta_h = thermo.beta_from_occupancy(2000, n_total, 2.0)
     print(
-        f"pump        W={analytic.mean_heats_ring(spec)[2]:+.4f}  "
-        f"COP={1 / analytic.efficiency_otto(1.0, 2.0):.1f}  "
+        f"pump        W={w:+.4f}  "
+        f"COP={-q_h / w:.1f}  "
         f"beta=({beta_l:.4f}, {beta_h:.4f})  "
         f"COP_C={1 / thermo.carnot_efficiency(beta_l, beta_h):.3f}"
     )
 
-    beta_l = thermo.beta_from_occupancy(4500, n_total, 1.0).beta
-    beta_h = thermo.beta_from_occupancy(5500, n_total, 2.0).beta
-    spec = analytic.RingSpec.from_counts([1.0, 2.0], [4500, 5500], n_total)
+    beta_l = thermo.beta_from_occupancy(4500, n_total, 1.0)
+    beta_h = thermo.beta_from_occupancy(5500, n_total, 2.0)
+    _, q_h, w = analytic.mean_heats_ring(analytic.RingSpec.from_counts([1.0, 2.0], [4500, 5500], n_total))
     print(
-        f"mixed signs W={analytic.mean_heats_ring(spec)[2]:+.4f}  "
-        f"eta={analytic.efficiency_otto(1.0, 2.0):.3f}  "
+        f"mixed signs W={w:+.4f}  "
+        f"eta={w / -q_h:.3f}  "
         f"beta=({beta_l:.4f}, {beta_h:.4f})  "
         f"eta_max={thermo.carnot_efficiency(beta_l, beta_h):.1f}"
     )

@@ -19,12 +19,11 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "thermo": ("EntropyValue", "InverseTemperature", "beta_from_occupancy",
-               "carnot_efficiency", "entropy_equally_spaced", "entropy_s",
-               "log_degeneracy", "occupancy", "occupancy_np"),
+    "thermo": ("beta_from_occupancy", "carnot_efficiency", "entropy_equally_spaced",
+               "entropy_s", "log_degeneracy", "occupancy", "occupancy_np"),
     "urn": ("EngineRing", "Group", "Reservoir", "make_reservoir", "two_level_ring"),
-    "analytic": ("RingSpec", "WorkStatistics", "efficiency_otto", "equilibrium_ring",
-                 "mean_heats_ring", "work_statistics_ring"),
+    "analytic": ("RingSpec", "WorkStatistics", "equilibrium_ring", "mean_heats_ring",
+                 "work_statistics_ring"),
     "continuum": ("CarnotEndpoints", "ContinuumHeats", "continuum_heats",
                   "discretized_ring", "max_reversible_work", "reversible_endpoints",
                   "reversible_work"),

@@ -13,7 +13,8 @@ kappa_n(W) = sum_k (eps_k - eps_{k+1})^n * kappa_n(w_k).  For the 0/1 model
 Var(W)/<W> measures the relative fluctuation of one cycle's output.
 
 The two-reservoir Otto engine is the m = 1 ring (``RingSpec.from_counts``);
-its efficiency 1 - eps_l/eps_h depends only on the altitudes.
+where it runs as an engine its efficiency W/(-Q_h) is 1 - eps_l/eps_h, which
+depends only on the altitudes.
 """
 
 from __future__ import annotations
@@ -132,13 +133,6 @@ class WorkStatistics:
     mean: float
     variance: float
     ratio: float | None
-
-
-def efficiency_otto(eps_l: float, eps_h: float) -> float:
-    """Engine efficiency 1 - eps_l/eps_h; populations drop out entirely."""
-    if not (0.0 < eps_l < eps_h):
-        raise ValueError("invalid altitude order")
-    return 1.0 - eps_l / eps_h
 
 
 def _ring_heats(eps, f):

@@ -99,7 +99,9 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-_JSON_NULL = {"": "null", "nan": "null", "inf": "null", "-inf": "null"}
+# the cell text of an undefined value: an empty CSV cell, a JSON null
+_UNDEFINED = {"csv": dict.fromkeys(("nan", "inf", "-inf"), ""),
+              "json": dict.fromkeys(("", "nan", "inf", "-inf"), "null")}
 
 
 def _text(value: Any) -> str:
@@ -113,9 +115,10 @@ def _text(value: Any) -> str:
 
 def _column(values: Sequence[Any], fmt: str, pad: str) -> list[str]:
     """One table column as CSV or JSON cell texts.  Numbers need only str();
-    JSON quotes strings and writes the empty, nan and inf texts as null.
-    List cells (never empty) format their items as one column, then join
-    them with ';' or lay them out as an array at indent ``pad``."""
+    None and every non-finite number are undefined: an empty CSV cell, a JSON
+    null.  JSON quotes strings.  List cells (never empty) format their items
+    as one column, then join them with ';' or lay them out as an array at
+    indent ``pad``."""
     types = set(map(type, values))
     if types and types <= {list, tuple}:
         items = iter(_column([v for cell in values for v in cell], fmt, pad + "  "))
@@ -124,11 +127,11 @@ def _column(values: Sequence[Any], fmt: str, pad: str) -> list[str]:
         sep = f",\n{pad}  "
         return [f"[\n{pad}  {sep.join(islice(items, len(cell)))}\n{pad}]" for cell in values]
     texts = list(map(str if types <= {int, float} else _text, values))
-    if fmt == "csv":
-        return texts
+    undefined = _UNDEFINED[fmt]
     if str not in types:
-        return list(map(_JSON_NULL.get, texts, texts))
-    return [json.dumps(v) if isinstance(v, str) else _JSON_NULL.get(t, t) for v, t in zip(values, texts)]
+        return list(map(undefined.get, texts, texts))
+    quote = json.dumps if fmt == "json" else str
+    return [quote(v) if isinstance(v, str) else undefined.get(t, t) for v, t in zip(values, texts)]
 
 
 def _emit(result: CommandResult, fmt: str, output: str | None) -> None:
@@ -187,26 +190,14 @@ def _handle_analytic_otto(args: argparse.Namespace) -> CommandResult:
     from . import analytic, thermo
     spec = analytic.RingSpec.from_counts([args.eps_l, args.eps_h], [args.n_l, args.n_h], args.N)
     q_l, q_h, w = analytic.mean_heats_ring(spec)
-    stats = analytic.work_statistics_ring(spec)
-    eta = thermo._efficiency(w, q_h)
-    outputs: dict[str, Any] = {
-        "W": w,
-        "eta": None if math.isnan(eta) else eta,
-        "Q_l": q_l,
-        "Q_h": q_h,
-        "var_W": stats.variance,
+    var_w = analytic.work_statistics_ring(spec).variance
+    bl, bh = (thermo.beta_from_occupancy(n, args.N, eps) if n not in (0, args.N) else None
+              for n, eps in ((args.n_l, args.eps_l), (args.n_h, args.eps_h)))
+    outputs = {
+        "W": w, "eta": thermo._efficiency(w, q_h), "Q_l": q_l, "Q_h": q_h, "var_W": var_w,
+        "beta_l": bl, "beta_h": bh,
+        "eta_carnot": None if bl in (None, 0.0) or bh is None else thermo.carnot_efficiency(bl, bh),
     }
-    degenerate = {0, args.N}
-    outputs["beta_l"] = (
-        thermo.beta_from_occupancy(args.n_l, args.N, args.eps_l).beta
-        if args.n_l not in degenerate else None
-    )
-    outputs["beta_h"] = (
-        thermo.beta_from_occupancy(args.n_h, args.N, args.eps_h).beta
-        if args.n_h not in degenerate else None
-    )
-    bl, bh = outputs["beta_l"], outputs["beta_h"]
-    outputs["eta_carnot"] = None if bl in (None, 0.0) or bh is None else thermo.carnot_efficiency(bl, bh)
     return _scalar_result(_echo(args), outputs)
 
 
@@ -223,7 +214,8 @@ def _handle_analytic_ring(args: argparse.Namespace) -> CommandResult:
 def _handle_thermo_beta(args: argparse.Namespace) -> CommandResult:
     from . import thermo
     beta = thermo.beta_from_occupancy(args.n, args.N, args.eps)
-    return _scalar_result(_echo(args), {"beta": beta.beta, "temperature": beta.temperature})
+    temperature = math.inf if beta == 0.0 else 1.0 / beta
+    return _scalar_result(_echo(args), {"beta": beta, "temperature": temperature})
 
 
 def _handle_thermo_occupancy(args: argparse.Namespace) -> CommandResult:
@@ -238,7 +230,7 @@ def _handle_thermo_entropy(args: argparse.Namespace) -> CommandResult:
             raise ValueError("--levels and --y are mutually exclusive")
         s = thermo.entropy_equally_spaced(args.x, args.levels)
     else:
-        s = thermo.entropy_s(args.x, args.y).s
+        s = thermo.entropy_s(args.x, args.y)
     return _scalar_result(_echo(args), {"s": s})
 
 
@@ -339,8 +331,7 @@ def _handle_region(args: argparse.Namespace) -> CommandResult:
     from . import frontier
     # the arguments are checked here, so a domain error comes before any output
     arrays = frontier._region_blocks(args.m, args.beta_l, args.beta_h, args.samples, args.eps_max, args.seed)
-    blocks = ([w.tolist(), [e if math.isfinite(e) else None for e in eta.tolist()], g.tolist(), eps.tolist()]
-              for w, eta, g, eps in arrays)
+    blocks = ([a.tolist() for a in block] for block in arrays)
     return CommandResult(inputs=_echo(args), outputs={}, columns=_REGION_COLUMNS, blocks=blocks, points=True)
 
 

@@ -26,7 +26,6 @@ only the array forms (``occupancy_np`` and the array branch of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import _EXPORTS
@@ -39,41 +38,6 @@ __all__ = _EXPORTS["thermo"]
 # comb() stays exact up to this N; above it Stirling's series avoids bignum blowup
 _EXACT_COMB_LIMIT = 10_000
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class InverseTemperature:
-    """Inverse temperature beta in 1/energy units (k_B = 1); may be negative."""
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", float(self.beta))
-        if not math.isfinite(self.beta):
-            raise ValueError("degenerate occupancy (infinite |beta|)")
-
-    @property
-    def temperature(self) -> float:
-        """T = 1/beta; +inf at beta = 0, negative for inverted populations."""
-        return math.inf if self.beta == 0.0 else 1.0 / self.beta
-
-    def __float__(self) -> float:
-        return self.beta
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    """Dimensionless entropy (k_B = 1, natural log)."""
-
-    s: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s", float(self.s))
-        if not (self.s >= 0.0):
-            raise ValueError("entropy must be nonnegative")
-
-    def __float__(self) -> float:
-        return self.s
 
 
 def occupancy(x: float) -> float:
@@ -114,7 +78,7 @@ def _entropy(x: float, y: float) -> float:
     return raw if raw > 0.0 else 0.0
 
 
-def entropy_s(x: float, y: float | None = None) -> EntropyValue:
+def entropy_s(x: float, y: float | None = None) -> float:
     """Two-level entropy rate s(x, y) = x*f(y) + ln(1 + exp(-x)).
 
     ``x`` is the reduced gap (beta*eps) the entropy is evaluated at, ``y`` the
@@ -126,7 +90,7 @@ def entropy_s(x: float, y: float | None = None) -> EntropyValue:
         y = x
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("entropy arguments must be finite")
-    return EntropyValue(_entropy(x, y))
+    return _entropy(x, y)
 
 
 def _log1mexp(t: float) -> float:
@@ -171,7 +135,7 @@ def entropy_equally_spaced(x: float, levels: int) -> float:
     return (_log1mexp(lx) - _log1mexp(x)) + (_g(x) - _g(lx))
 
 
-def beta_from_occupancy(n: int, N: int, eps: float) -> InverseTemperature:
+def beta_from_occupancy(n: int, N: int, eps: float) -> float:
     """Inverse temperature of a two-level urn with n of N balls excited.
 
     Thermal occupation requires exp(-beta*eps) = n/(N - n), hence
@@ -185,7 +149,10 @@ def beta_from_occupancy(n: int, N: int, eps: float) -> InverseTemperature:
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError("altitude must be positive")
     k = min(n, N - n)  # log1p of a non-negative argument keeps every digit
-    return InverseTemperature(math.copysign(math.log1p((N - 2 * k) / k) / eps, N - 2 * n))
+    beta = math.copysign(math.log1p((N - 2 * k) / k) / eps, N - 2 * n)
+    if not math.isfinite(beta):  # the quotient overflows at a tiny eps
+        raise ValueError("degenerate occupancy (infinite |beta|)")
+    return beta
 
 
 def _stirling_tail(t: float) -> float:
@@ -214,14 +181,13 @@ def log_degeneracy(N: int, n: int) -> float:
     return falling - math.lgamma(k + 1)
 
 
-def carnot_efficiency(beta_l: InverseTemperature | float, beta_h: InverseTemperature | float) -> float:
+def carnot_efficiency(beta_l: float, beta_h: float) -> float:
     """Upper bound 1 - beta_h/beta_l on engine efficiency, correctly rounded, clamped to 1.
 
     The clamp covers hot baths at negative temperature (beta_h/beta_l <= 0),
     where the raw ratio exceeds 1 but unity is the physical bound.
     """
-    bl = float(beta_l)
-    bh = float(beta_h)
+    bl, bh = float(beta_l), float(beta_h)
     if bl == 0.0:
         raise ValueError("infinite cold temperature")
     eta = 1.0 - bh / bl  # rounds twice: kept only where it overflows or a beta is infinite

@@ -24,10 +24,10 @@ def _report(name: str, ok: bool, detail: str) -> None:
 def test_otto_engine_worked_example():
     t0 = time.perf_counter()
     spec = analytic.RingSpec.from_counts([1.0, 2.0], [2000, 3000], N_BALLS)
-    w = analytic.mean_heats_ring(spec)[2]
-    eta = analytic.efficiency_otto(1.0, 2.0)
-    beta_l = thermo.beta_from_occupancy(2000, N_BALLS, 1.0).beta
-    beta_h = thermo.beta_from_occupancy(3000, N_BALLS, 2.0).beta
+    _, q_h, w = analytic.mean_heats_ring(spec)
+    eta = w / -q_h
+    beta_l = thermo.beta_from_occupancy(2000, N_BALLS, 1.0)
+    beta_h = thermo.beta_from_occupancy(3000, N_BALLS, 2.0)
     # the quoted 0.6957 reads the bound at the two-decimal betas; the exact
     # pipeline value is pinned alongside so both stay visible
     eta_c_rounded = thermo.carnot_efficiency(1.38, 0.42)
@@ -53,10 +53,10 @@ def test_otto_engine_worked_example():
 def test_heat_pump_worked_example():
     # swapping the populations reverses both heat flows and the work sign
     spec = analytic.RingSpec.from_counts([1.0, 2.0], [3000, 2000], N_BALLS)
-    w = analytic.mean_heats_ring(spec)[2]
-    cop = 1.0 / analytic.efficiency_otto(1.0, 2.0)
-    beta_l = thermo.beta_from_occupancy(3000, N_BALLS, 1.0).beta
-    beta_h = thermo.beta_from_occupancy(2000, N_BALLS, 2.0).beta
+    _, q_h, w = analytic.mean_heats_ring(spec)
+    cop = -q_h / w  # Q_h = 2d and W = -d exactly, so COP is exactly 2
+    beta_l = thermo.beta_from_occupancy(3000, N_BALLS, 1.0)
+    beta_h = thermo.beta_from_occupancy(2000, N_BALLS, 2.0)
     cop_carnot = 1.0 / thermo.carnot_efficiency(beta_l, beta_h)
     ok = (
         w == pytest.approx(-0.1, abs=1e-12)
@@ -74,13 +74,13 @@ def test_heat_pump_worked_example():
 
 
 def test_negative_temperature_branches():
-    b1 = thermo.beta_from_occupancy(7000, N_BALLS, 1.0).beta
-    b2 = thermo.beta_from_occupancy(8000, N_BALLS, 2.0).beta
-    beta_l = thermo.beta_from_occupancy(4500, N_BALLS, 1.0).beta
-    beta_h = thermo.beta_from_occupancy(5500, N_BALLS, 2.0).beta
+    b1 = thermo.beta_from_occupancy(7000, N_BALLS, 1.0)
+    b2 = thermo.beta_from_occupancy(8000, N_BALLS, 2.0)
+    beta_l = thermo.beta_from_occupancy(4500, N_BALLS, 1.0)
+    beta_h = thermo.beta_from_occupancy(5500, N_BALLS, 2.0)
     spec = analytic.RingSpec.from_counts([1.0, 2.0], [4500, 5500], N_BALLS)
-    w = analytic.mean_heats_ring(spec)[2]
-    eta = analytic.efficiency_otto(1.0, 2.0)
+    _, q_h, w = analytic.mean_heats_ring(spec)
+    eta = w / -q_h
     eta_max = thermo.carnot_efficiency(beta_l, beta_h)
     ok = (
         b1 == pytest.approx(-0.8473, abs=5e-5)
@@ -218,7 +218,7 @@ def test_degeneracy_and_stirling_consistency():
     n, n_total = 200_000, 1_000_000
     # adding one excited ball changes ln W by beta*eps at equilibrium
     delta = thermo.log_degeneracy(n_total, n) - thermo.log_degeneracy(n_total, n - 1)
-    beta_eps = thermo.beta_from_occupancy(n, n_total, 1.0).beta
+    beta_eps = thermo.beta_from_occupancy(n, n_total, 1.0)
     resid = abs(delta - beta_eps)
     ok = exact and resid <= 1e-5
     _report(
@@ -239,17 +239,17 @@ def test_invariant_suite_holds():
     # occupancy/beta round trips across regimes
     round_ok = True
     for n, n_total, eps in ((2000, 10_000, 1.0), (7000, 10_000, 2.0), (1, 3, 0.5)):
-        beta = thermo.beta_from_occupancy(n, n_total, eps).beta
+        beta = thermo.beta_from_occupancy(n, n_total, eps)
         round_ok &= abs(thermo.occupancy(beta * eps) * n_total - n) <= 1e-9 * n_total
 
     # entropy rate is even with maximum ln 2 at the origin
     xs = np.linspace(-30.0, 30.0, 1201)
     even_ok = all(
-        abs(thermo.entropy_s(x).s - thermo.entropy_s(-x).s) <= 1e-12 for x in xs
+        abs(thermo.entropy_s(x) - thermo.entropy_s(-x)) <= 1e-12 for x in xs
     )
     max_ok = (
-        max(thermo.entropy_s(x).s for x in xs) <= math.log(2) + 1e-15
-        and thermo.entropy_s(0.0).s == pytest.approx(math.log(2), abs=1e-15)
+        max(thermo.entropy_s(x) for x in xs) <= math.log(2) + 1e-15
+        and thermo.entropy_s(0.0) == pytest.approx(math.log(2), abs=1e-15)
     )
 
     # worker count never changes the result

@@ -29,7 +29,7 @@ def test_otto_heats_work_efficiency_oracle():
     assert q_l == pytest.approx(0.1, abs=1e-15)
     assert q_h == pytest.approx(-0.2, abs=1e-15)
     assert w == pytest.approx(0.1, abs=1e-15)
-    assert analytic.efficiency_otto(1.0, 2.0) == 0.5
+    assert w / -q_h == 0.5
 
 
 def test_otto_second_oracle():
@@ -58,8 +58,6 @@ def test_otto_validation():
         analytic.RingSpec.from_counts([1.0, 2.0], [0, 0], 0)
     with pytest.raises(ValueError, match="invalid population"):
         analytic.RingSpec.from_counts([1.0, 2.0], [11, 3], 10)
-    with pytest.raises(ValueError, match="invalid altitude order"):
-        analytic.efficiency_otto(3.0, 2.0)
 
 
 def test_from_counts_is_the_ring_at_fractions_n_over_total():
@@ -248,10 +246,16 @@ def test_ring_spec_copies_input_arrays():
 )
 @settings(max_examples=100)
 def test_efficiency_scale_invariant(eps_l, gap, a):
+    # the m = 1 engine's W/(-Q_h) is 1 - eps_l/eps_h at any populations
     eps_h = eps_l + gap
-    assert analytic.efficiency_otto(a * eps_l, a * eps_h) == pytest.approx(
-        analytic.efficiency_otto(eps_l, eps_h), abs=1e-12
-    )
+
+    def eta(scale):
+        spec = analytic.RingSpec.bernoulli([scale * eps_l, scale * eps_h], [0.2, 0.3])
+        _, q_h, w = analytic.mean_heats_ring(spec)
+        return w / -q_h
+
+    assert eta(a) == pytest.approx(eta(1.0), abs=1e-12)
+    assert eta(1.0) == pytest.approx(1.0 - eps_l / eps_h, abs=1e-12)
 
 
 def test_mixed_work_statistics_match_the_enumeration():

@@ -64,7 +64,7 @@ def test_otto_inputs_reproduce_outputs(capsys):
         [inp["eps_l"], inp["eps_h"]], [inp["n_l"], inp["n_h"]], inp["N"]
     )
     assert analytic.mean_heats_ring(spec)[2] == pytest.approx(doc["outputs"]["W"], abs=1e-12)
-    beta = thermo.beta_from_occupancy(inp["n_l"], inp["N"], inp["eps_l"]).beta
+    beta = thermo.beta_from_occupancy(inp["n_l"], inp["N"], inp["eps_l"])
     assert beta == pytest.approx(doc["outputs"]["beta_l"], abs=1e-12)
 
 
@@ -161,6 +161,15 @@ def test_csv_renders_none_as_empty(capsys):
     cells = dict(zip(header, row))
     assert cells["beta_l"] == ""
     assert cells["eta_carnot"] == ""
+
+
+def test_infinite_temperature_is_an_empty_csv_cell(capsys):
+    # T = 1/beta is inf at half filling: undefined, so null in JSON and empty in CSV
+    argv = ["thermo", "beta", "--n", "5", "--N", "10", "--eps", "1"]
+    assert run_json(argv, capsys)["outputs"] == {"beta": 0.0, "temperature": None}
+    code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["n,N,eps,beta,temperature", "5,10,1.0,0.0,"]
 
 
 def test_domain_error_exits_one_with_json(capsys):
@@ -318,6 +327,7 @@ def test_continuum_subcommands(capsys):
      "reversible cycle needs sign(beta_l) = sign(beta_h)"),
     (["region", "--m", "1", "--beta-l", "nan", "--beta-h", "0.42",
       "--samples", "10", "--eps-max", "5", "--seed", "1"], "beta must be finite"),
+    (["thermo", "beta", "--n", "1", "--N", "10", "--eps", "1e-320"], "degenerate occupancy (infinite |beta|)"),
 ])
 def test_beta_domain_errors_exit_one(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -586,6 +596,8 @@ def _csv_cell(value):
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
         return ";".join(_csv_cell(v) for v in value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return ""
     return str(value)
 
 

@@ -140,9 +140,9 @@ def test_efficiency_bounded_by_carnot(bl, bh, l1, lm, h1, hm):
 
 def test_entropy_rate_vanishes_at_large_reduced_energy():
     # normalization choice: s -> 0 as the reduced energy grows
-    assert float(thermo.entropy_s(50.0)) <= 1e-20
-    assert float(thermo.entropy_s(745.0)) <= 1e-300
-    assert float(thermo.entropy_s(800.0)) == 0.0
+    assert thermo.entropy_s(50.0) <= 1e-20
+    assert thermo.entropy_s(745.0) <= 1e-300
+    assert thermo.entropy_s(800.0) == 0.0
 
 
 def test_m64_ring_within_one_percent_of_continuum():

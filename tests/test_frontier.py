@@ -268,8 +268,8 @@ def test_carnot_reaches_carnot_efficiency():
     # reversibility shows as matched entropy rates, not matched endpoints:
     # saturated branches (s ~ 0) leave the endpoint values unconstrained
     l1, lm, h1, hm = pt.config
-    assert float(thermo.entropy_s(h1)) == pytest.approx(float(thermo.entropy_s(lm)), abs=1e-6)
-    assert float(thermo.entropy_s(hm)) == pytest.approx(float(thermo.entropy_s(l1)), abs=1e-6)
+    assert thermo.entropy_s(h1) == pytest.approx(thermo.entropy_s(lm), abs=1e-6)
+    assert thermo.entropy_s(hm) == pytest.approx(thermo.entropy_s(l1), abs=1e-6)
 
 
 def test_carnot_feasible_at_supremum():

@@ -547,9 +547,10 @@ def _traced_peak_mb(ring, trials, workers):
     (_equilibrium_like_ring(64, 4), 4 * 16384 + 77, 1, 15.0),
 ], ids=["2m=16 workers=1", "2m=16 workers=2", "2m=64 trial path"])
 def test_traced_peak_is_bounded_by_blocks(ring, trials, workers, bound_mb):
-    # each chunk holds its (2m, 16384) compact ball indices and one block of
-    # raw words (and, on the trial path, of drawn weights); a uint64 index
-    # matrix and whole-chunk word and weight buffers exceed these bounds
+    # N = 1000 <= 2^32, so each chunk in flight holds its (2m, 16384) ball
+    # indices as uint32 (1 MB at 2m = 16) and, on the trial path, its drawn
+    # weights one (2m, 4096) block at a time; a whole-chunk weight buffer
+    # (8 MB at 2m = 64) would exceed the trial-path bound
     assert _traced_peak_mb(ring, trials, workers) <= bound_mb
 
 

@@ -1,5 +1,6 @@
 """Occupancy, inverse temperature, entropy, degeneracy."""
 
+import json
 import math
 import struct
 from decimal import Decimal, localcontext
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnengine import thermo
+from urnengine import cli, thermo
 
 
 finite_x = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -49,11 +50,11 @@ def test_occupancy_np_matches_scalar(x):
 
 
 def test_beta_from_occupancy_oracles():
-    assert thermo.beta_from_occupancy(2000, 10_000, 1.0).beta == pytest.approx(math.log(4.0), abs=1e-14)
-    assert thermo.beta_from_occupancy(3000, 10_000, 2.0).beta == pytest.approx(math.log(7.0 / 3.0) / 2.0, abs=1e-14)
+    assert thermo.beta_from_occupancy(2000, 10_000, 1.0) == pytest.approx(math.log(4.0), abs=1e-14)
+    assert thermo.beta_from_occupancy(3000, 10_000, 2.0) == pytest.approx(math.log(7.0 / 3.0) / 2.0, abs=1e-14)
     # population inversion gives negative beta
-    assert thermo.beta_from_occupancy(7000, 10_000, 1.0).beta == pytest.approx(-math.log(7.0 / 3.0), abs=1e-14)
-    assert thermo.beta_from_occupancy(8000, 10_000, 2.0).beta == pytest.approx(-math.log(4.0) / 2.0, abs=1e-14)
+    assert thermo.beta_from_occupancy(7000, 10_000, 1.0) == pytest.approx(-math.log(7.0 / 3.0), abs=1e-14)
+    assert thermo.beta_from_occupancy(8000, 10_000, 2.0) == pytest.approx(-math.log(4.0) / 2.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("n, N, eps", [
@@ -71,22 +72,24 @@ def test_beta_from_occupancy_matches_a_40_digit_oracle(n, N, eps):
     with localcontext() as ctx:
         ctx.prec = 40
         exact = (Decimal(N - n) / Decimal(n)).ln() / Decimal(eps)
-    beta = thermo.beta_from_occupancy(n, N, eps).beta
+    beta = thermo.beta_from_occupancy(n, N, eps)
     # one rounding of the ratio, one of log1p and one of the division
     assert abs(Decimal(beta) - exact) <= 2 * Decimal(math.ulp(float(exact)))
 
 
-def test_beta_temperature_is_reciprocal():
+def test_beta_temperature_is_reciprocal(capsys):
+    # beta is a plain float; the thermo beta document's temperature is 1/beta
     b = thermo.beta_from_occupancy(2000, 10_000, 1.0)
-    assert b.temperature == pytest.approx(1.0 / b.beta, rel=1e-15)
-    assert float(b) == b.beta
+    assert type(b) is float
+    assert cli.main(["thermo", "beta", "--n", "2000", "--N", "10000", "--eps", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["temperature"] == 1.0 / b
 
 
 @given(st.integers(min_value=1, max_value=9999), st.floats(min_value=0.01, max_value=50.0))
 @settings(max_examples=150)
 def test_beta_occupancy_round_trip(n, eps):
     beta = thermo.beta_from_occupancy(n, 10_000, eps)
-    f = thermo.occupancy(beta.beta * eps)
+    f = thermo.occupancy(beta * eps)
     assert f == pytest.approx(n / 10_000, abs=1e-12)
 
 
@@ -95,6 +98,8 @@ def test_beta_rejects_degenerate_occupation():
         thermo.beta_from_occupancy(0, 10, 1.0)
     with pytest.raises(ValueError, match="degenerate occupancy"):
         thermo.beta_from_occupancy(10, 10, 1.0)
+    with pytest.raises(ValueError, match=r"degenerate occupancy \(infinite \|beta\|\)"):
+        thermo.beta_from_occupancy(1, 10, 1e-320)  # ln 9 / 1e-320 overflows
     with pytest.raises(ValueError, match="invalid occupation"):
         thermo.beta_from_occupancy(11, 10, 1.0)
     with pytest.raises(ValueError, match="invalid occupation"):
@@ -104,40 +109,35 @@ def test_beta_rejects_degenerate_occupation():
 
 
 def test_half_occupation_is_infinite_temperature():
-    b = thermo.beta_from_occupancy(5000, 10_000, 1.0)
-    assert b.beta == 0.0
-    with pytest.raises(ValueError, match="degenerate occupancy"):
-        thermo.InverseTemperature(float("inf"))
+    assert thermo.beta_from_occupancy(5000, 10_000, 1.0) == 0.0
 
 
 def test_entropy_known_values():
-    assert float(thermo.entropy_s(0.0)) == pytest.approx(math.log(2.0), abs=1e-15)
+    assert thermo.entropy_s(0.0) == pytest.approx(math.log(2.0), abs=1e-15)
     # x f(x) + ln(1 + e^-x) at x = ln 4
     x = math.log(4.0)
     expected = x * 0.2 + math.log(1.25)
-    assert float(thermo.entropy_s(x)) == pytest.approx(expected, abs=1e-14)
+    assert thermo.entropy_s(x) == pytest.approx(expected, abs=1e-14)
 
 
 @given(finite_x)
 @settings(max_examples=200)
 def test_entropy_even_bounded(x):
-    s = float(thermo.entropy_s(x))
+    s = thermo.entropy_s(x)
     assert 0.0 <= s <= math.log(2.0) + 1e-15
-    assert s == pytest.approx(float(thermo.entropy_s(-x)), abs=1e-12)
+    assert s == pytest.approx(thermo.entropy_s(-x), abs=1e-12)
 
 
 def test_entropy_two_argument_form():
     # s(x, y) = x f(y) + ln(1 + e^-x); cross form used by branch heats
     x, y = 1.5, -0.7
     expected = x * thermo.occupancy(y) + math.log(1.0 + math.exp(-x))
-    assert float(thermo.entropy_s(x, y)) == pytest.approx(expected, rel=1e-14)
+    assert thermo.entropy_s(x, y) == pytest.approx(expected, rel=1e-14)
 
 
 def test_entropy_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         thermo.entropy_s(float("inf"))
-    with pytest.raises(ValueError, match="nonnegative"):
-        thermo.EntropyValue(-0.1)
 
 
 def test_entropy_equally_spaced_sup_is_log_levels():
@@ -150,7 +150,7 @@ def test_entropy_equally_spaced_sup_is_log_levels():
 
 def test_entropy_equally_spaced_two_levels_matches_pair_form():
     for x in (0.3, 1.7, 4.0):
-        assert thermo.entropy_equally_spaced(x, 2) == pytest.approx(float(thermo.entropy_s(x)), rel=1e-12)
+        assert thermo.entropy_equally_spaced(x, 2) == pytest.approx(thermo.entropy_s(x), rel=1e-12)
 
 
 def _entropy_log_sum_exp(x, levels):
@@ -237,8 +237,8 @@ def test_carnot_efficiency_is_correctly_rounded():
     # the engine and pump goldens' betas; 1 - bh/bl rounds twice and lands
     # one ulp high on both
     for (n_l, n_h), eta in [((2000, 3000), 0.694401894665888), ((3000, 2000), 0.1819321008987483)]:
-        bl = thermo.beta_from_occupancy(n_l, 10_000, 1.0).beta
-        bh = thermo.beta_from_occupancy(n_h, 10_000, 2.0).beta
+        bl = thermo.beta_from_occupancy(n_l, 10_000, 1.0)
+        bh = thermo.beta_from_occupancy(n_h, 10_000, 2.0)
         assert thermo.carnot_efficiency(bl, bh) == eta == float(1 - Fraction(bh) / Fraction(bl))
         assert 1.0 - bh / bl == math.nextafter(eta, 1.0)
     # an overflowing ratio or an infinite beta keeps 1 - beta_h/beta_l
@@ -256,12 +256,6 @@ def test_carnot_efficiency_scale_invariant(bl, bh, a):
     assert thermo.carnot_efficiency(a * bl, a * bh) == pytest.approx(
         thermo.carnot_efficiency(bl, bh), abs=1e-12
     )
-
-
-def test_carnot_accepts_inverse_temperature_objects():
-    bl = thermo.beta_from_occupancy(2000, 10_000, 1.0)
-    bh = thermo.beta_from_occupancy(3000, 10_000, 2.0)
-    assert thermo.carnot_efficiency(bl, bh) == pytest.approx(1.0 - bh.beta / bl.beta, rel=1e-14)
 
 
 def _bits(value):
