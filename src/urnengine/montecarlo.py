@@ -2,24 +2,23 @@
 
 Determinism contract: run_ensemble(ring, trials, seed) is bit-identical for
 any worker count.  Trials are processed in fixed-size chunks of _CHUNK trials
-regardless of worker count, and chunk c draws all its ball indices from its
-own stream, Philox keyed by the seed with counter c << 192, so any partition
+regardless of worker count, and chunk c draws all its weight classes from
+its own stream, Philox keyed by the seed with counter c << 192, so any partition
 of chunks over workers sees the same draws.  Chunk streams start 2^192
 counter blocks apart, so no chunk reads another's words.  Each chunk reduces
 to partial statistics (count, mean, M2, per-reservoir heat means, work
 histogram, conservation violations) and the partials fold in place into one
-accumulator in chunk order as they arrive, which pins every floating point
-operation independent of scheduling and keeps memory flat in the number of
-chunks.
+accumulator in chunk order as they arrive, at most 2 * workers chunks in
+flight, which pins every floating point operation independent of scheduling
+and keeps memory flat in the number of chunks.
 
-Ball selection is exactly uniform: a chunk draws its (2m, chunk) array of
-ball indices in [0, N) with one numpy Generator.integers call, one row per
-reservoir, and numpy resamples each draw that Lemire's multiply-and-reject
-method rejects from the chunk's own stream, so every N up to 2^63 - 1 runs,
-whatever the seed.  When N <= 2^32 the indices are uint32 and each takes one
-32-bit half-word; otherwise they are uint64.  Memory is bounded by one (2m, _CHUNK) index array per chunk in
-flight; the trial path holds drawn weights _BLOCK trials at a time, and no
-result depends on _BLOCK.
+Class selection is exact: a draw U uniform in [0, 1) has class
+c = #{b : b <= U N} over its reservoir's class boundaries b, probability
+n_c/N for any N up to 2^63 - 1.  A chunk's raw words give each draw's 16-bit
+prefix, which decides unless a boundary lies inside its interval; such ties
+read further words of the chunk's stream (see _classes).  Memory is bounded
+by the prefixes and classes of each chunk in flight; the trial path holds
+drawn weights _BLOCK trials at a time, and no result depends on _BLOCK.
 
 A trial's work is accumulated in ring order, W = ((d_0 w_0 + d_1 w_1) + ...)
 with d_k = eps_k - eps_{k+1}, and the heat into reservoir k is
@@ -98,11 +97,15 @@ class _Tables:
         n = len(self.eps)
         self.deltas = [self.eps[k] - self.eps[(k + 1) % n] for k in range(n)]
         self.weights = [np.asarray(r.weights, dtype=float) for r in ring.reservoirs]
-        self.total = ring.total
-        # ball indices in the narrowest unsigned dtype that holds N
-        self.dtype = np.uint32 if self.total <= 1 << 32 else np.uint64
-        # class c of a ball index: the number of these boundaries at or below it
-        self.bounds = [r.cumulative_counts[:-1].astype(self.dtype) for r in ring.reservoirs]
+        self.total = n_tot = ring.total
+        # a draw U in [0, 1) has class c = #{b : b <= U N}, b the class boundaries;
+        # its 16-bit prefix u lies above b / N when u > ceil(b 2^16 / N) - 1, and
+        # only u equal to that cut can tie b.  Cut column j holds each
+        # reservoir's boundary j, and 0xFFFF (nothing above) past its last.
+        self.bounds = [r.cumulative_counts[:-1].tolist() for r in ring.reservoirs]
+        width = max(map(len, self.bounds))
+        self.cuts = np.array([[((b << 16) - 1) // n_tot for b in bs] + [0xFFFF] * (width - len(bs))
+                              for bs in self.bounds], dtype=np.uint16).T[..., None]
         self.two_level = all(r.is_two_level for r in ring.reservoirs)
         # work support bounds, for fixed-width binning of general weights
         lo = hi = 0.0
@@ -132,10 +135,42 @@ def _partial(work: np.ndarray, mean_heats: np.ndarray, hist, violations: int = 0
     return _Partial(len(work), mean, float(np.sum((work - mean) ** 2)), mean_heats, hist, violations)
 
 
-def _ball_indices(tables: _Tables, key: int, lo: int, hi: int) -> np.ndarray:
-    """Uniform ball indices in [0, N), shape (2m, hi-lo), from the stream of chunk lo // _CHUNK."""
-    g = np.random.Generator(np.random.Philox(key=key, counter=lo // _CHUNK << 192))
-    return g.integers(0, tables.total, size=(len(tables.eps), hi - lo), dtype=tables.dtype)
+def _refine(bounds: list[int], total: int, c: int, p: int, word) -> int:
+    """Class of a draw whose 16-bit prefix p ties a boundary, c boundaries
+    lying below p's interval: append ``word()`` 64-bit words to the prefix
+    until no boundary b has p N < b 2^s < (p + 1) N, then count b 2^s <= p N."""
+    s = 16
+    while True:
+        while c < len(bounds) and bounds[c] << s <= p * total:
+            c += 1
+        if c == len(bounds) or bounds[c] << s >= (p + 1) * total:
+            return c
+        p, s = p << 64 | word(), s + 64
+
+
+def _classify(tables: _Tables, prefixes: np.ndarray, word) -> np.ndarray:
+    """Weight class of each draw from its 16-bit prefix, one row per
+    reservoir.  Each tie, in increasing flat position, appends ``word()``
+    64-bit words until it resolves, so class c has probability exactly n_c/N."""
+    rows, n = prefixes.shape
+    cls = np.zeros((rows, n), dtype=np.min_scalar_type(len(tables.cuts)))
+    above, tied = np.empty((rows, n), dtype=bool), set()
+    for cut in tables.cuts:  # one comparison per boundary column
+        cls += np.greater(prefixes, cut, out=above)
+        tied.update(np.flatnonzero(np.equal(prefixes, cut, out=above)).tolist())
+    for k, j in (divmod(i, n) for i in sorted(tied)):  # reads no word unless a boundary lies inside
+        cls[k, j] = _refine(tables.bounds[k], tables.total, int(cls[k, j]), int(prefixes[k, j]), word)
+    return cls
+
+
+def _classes(tables: _Tables, key: int, lo: int, hi: int) -> np.ndarray:
+    """Draw classes of chunk lo // _CHUNK, shape (2m, hi-lo), from its own
+    stream: the 16-bit little-endian prefixes of its first ceil(2m (hi-lo) / 4)
+    raw Philox words, one row per reservoir, and later words for the ties."""
+    rows, n = len(tables.eps), hi - lo
+    bits = np.random.Philox(key=key, counter=lo // _CHUNK << 192)
+    words = bits.random_raw(-(-rows * n // 4)).astype("<u8", copy=False)
+    return _classify(tables, words.view("<u2")[:rows * n].reshape(rows, n), bits.random_raw)
 
 
 def _work_audit(tables: _Tables, column):
@@ -187,58 +222,53 @@ def _histogram(tables: _Tables, work: np.ndarray, counts: np.ndarray | None = No
         return np.bincount(idx, weights=counts, minlength=_HIST_BINS)
     vals, inverse = np.unique(work, return_inverse=True)
     keyed = np.bincount(inverse, weights=counts).astype(np.int64)
+    del inverse  # freed before the dict and its key lists are built
     return dict(zip(vals.tolist(), keyed.tolist()))
 
 
-def _code_summary(tables: _Tables, counts: np.ndarray):
-    """Histogram and audit violations of a histogram of codes, each drawn
-    code evaluated once and weighted by its count."""
-    codes = np.flatnonzero(counts)
-    drawn = counts[codes]
+def _code_summary(tables: _Tables, part: _Partial):
+    """Histogram and audit violations of a partial's code counts, each drawn
+    code evaluated once and weighted by its count; frees the counts."""
+    codes = np.flatnonzero(part.hist)
+    drawn, part.hist = part.hist[codes], None
     w, s = tables.weights, tables.strides  # each column decoded when the audit asks for it
     work, bad = _work_audit(tables, lambda k: w[k][codes // s[k] % len(w[k])])
-    return _histogram(tables, work, drawn), int(drawn[bad].sum())
+    violations = int(drawn[bad].sum())
+    del codes, bad
+    return _histogram(tables, work, drawn), violations
 
 
-def _mean_heats(tables: _Tables, drawn: list[list[int]], n_tr: int) -> np.ndarray:
-    """Mean heats eps_k (S_{k-1} - S_k) / n_tr from ``drawn[k][c]``, the
-    draws of class c at reservoir k, with S_k = fsum_c w_kc n_kc."""
-    sums = np.array([math.fsum(w * c for w, c in zip(tables.weights[k].tolist(), counts))
-                     for k, counts in enumerate(drawn)])
-    return np.asarray(tables.eps) * (np.roll(sums, 1) - sums) / n_tr
+def _mean_heats(tables: _Tables, cls: np.ndarray) -> np.ndarray:
+    """Mean heats eps_k (S_{k-1} - S_k) / n of n draws of classes ``cls``,
+    with S_k = fsum_c w_kc n_kc, n_kc the draws of class c at reservoir k."""
+    n, sums = cls.shape[1], []
+    for w, row in zip(tables.weights, cls):
+        at_least = [n, *(np.count_nonzero(row >= c) for c in range(1, len(w))), 0]  # draws of class >= c
+        sums.append(math.fsum(wc * (a - b) for wc, a, b in zip(w.tolist(), at_least, at_least[1:])))
+    return np.asarray(tables.eps) * (np.roll(sums, 1) - sums) / n
 
 
-def _code_stats(tables: _Tables, balls: np.ndarray) -> _Partial:
-    """Chunk partial from ball indices via one draw code per trial.  Its
+def _code_stats(tables: _Tables, cls: np.ndarray) -> _Partial:
+    """Chunk partial from draw classes via one draw code per trial.  Its
     histogram is the code counts; violations are counted after the merge."""
-    n_tr = balls.shape[1]
-    code = np.zeros(n_tr, dtype=np.intp)
-    drawn = []
-    for k, r in enumerate(balls):
-        at_least = [n_tr]  # draws of class >= c: one comparison per boundary
-        for b in tables.bounds[k]:
-            above = r >= b
-            code += above * tables.strides[k]
-            at_least.append(np.count_nonzero(above))
-        drawn.append([a - b for a, b in zip(at_least, at_least[1:] + [0])])
+    n_tr = cls.shape[1]
+    code = np.zeros(n_tr, dtype=np.uint32)  # at most 2^20 codes
+    for k in reversed(range(len(cls))):  # Horner: digit k has stride K_0...K_{k-1}
+        code *= len(tables.weights[k])
+        code += cls[k]
+    code = code.astype(np.intp)  # indexing and bincount cast any other dtype on every call
     counts = np.bincount(code, minlength=len(tables.code_work))
-    return _partial(tables.code_work[code], _mean_heats(tables, drawn, n_tr), counts)
+    return _partial(tables.code_work[code], _mean_heats(tables, cls), counts)
 
 
-def _trial_stats(tables: _Tables, balls: np.ndarray) -> _Partial:
-    """Chunk partial of any ring from its ball indices, trial by trial, _BLOCK trials at a time."""
-    n_tr = balls.shape[1]
+def _trial_stats(tables: _Tables, cls: np.ndarray) -> _Partial:
+    """Chunk partial of any ring from its draw classes, trial by trial, _BLOCK trials at a time."""
+    n_tr = cls.shape[1]
     work, bad = np.empty(n_tr), np.empty(n_tr, dtype=bool)
-    drawn = [np.zeros(len(w), dtype=np.int64) for w in tables.weights]
     for b in range(0, n_tr, _BLOCK):
-        w = np.empty(balls[:, b:b + _BLOCK].shape)
-        for k, r in enumerate(balls[:, b:b + _BLOCK]):
-            classes = np.searchsorted(tables.bounds[k], r, side="right")
-            w[k] = tables.weights[k][classes]
-            drawn[k] += np.bincount(classes, minlength=len(drawn[k]))
+        w = np.array([wk[c] for wk, c in zip(tables.weights, cls[:, b:b + _BLOCK])])
         work[b:b + _BLOCK], bad[b:b + _BLOCK] = _work_audit(tables, w.__getitem__)
-    return _partial(work, _mean_heats(tables, [d.tolist() for d in drawn], n_tr),
-                    _histogram(tables, work), int(np.count_nonzero(bad)))
+    return _partial(work, _mean_heats(tables, cls), _histogram(tables, work), int(np.count_nonzero(bad)))
 
 
 def _merge(a: _Partial, b: _Partial) -> _Partial:
@@ -271,18 +301,21 @@ def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> 
     tables = _Tables(ring)
     ranges = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
     stats = _trial_stats if tables.code_work is None else _code_stats
-    # partials fold into the accumulator in chunk order as they arrive
-    acc = None
+    # partials fold into the accumulator in chunk order as they arrive, from
+    # at most 2 * workers chunks at a time, so they cannot pile up behind a slow one
+    acc, window = None, 2 * workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        mapper = map if workers == 1 or len(ranges) == 1 else pool.map
-        for part in mapper(lambda r: stats(tables, _ball_indices(tables, key, *r)), ranges):
-            acc = part if acc is None else _merge(acc, part)
-            del part  # the next chunk runs before the loop rebinds the name
+        mapper = map if workers == 1 else pool.map
+        for at in range(0, len(ranges), window):
+            for part in mapper(lambda r: stats(tables, _classes(tables, key, *r)), ranges[at:at + window]):
+                acc = part if acc is None else _merge(acc, part)
+                del part  # the next chunk runs before the loop rebinds the name
 
     var = acc.m2 / (acc.n - 1) if acc.n > 1 else 0.0
     hist, violations, bin_width = acc.hist, acc.violations, None
     if tables.code_work is not None:
-        hist, violations = _code_summary(tables, hist)  # exact keys come sorted
+        del hist  # so that _code_summary can free the code counts
+        hist, violations = _code_summary(tables, acc)  # exact keys come sorted
     elif isinstance(hist, dict):
         hist = dict(sorted(hist.items()))
     if not isinstance(hist, dict):

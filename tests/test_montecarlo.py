@@ -1,9 +1,12 @@
 """Ensemble simulation: determinism, moments, exact enumeration."""
 
+import bisect
 import dataclasses
 import math
+import threading
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -273,13 +276,10 @@ def _mixed_ring(n, seed, weights=(0.0, 1.0, 2.5), total=1000):
     return _ring(eps.tolist(), pops)
 
 
-def _drawn_weights(ring, balls):
-    """Weight of each drawn ball, (2m, trials): ball index i has the class whose
-    cumulative count first exceeds i."""
-    return np.array([
-        r.weights[np.searchsorted(r.cumulative_counts, b.astype(np.int64), side="right")]
-        for r, b in zip(ring.reservoirs, balls)
-    ])
+def _drawn_weights(ring, cls):
+    """Weight of each draw, (2m, trials): class c at reservoir k weighs its
+    weight class c."""
+    return np.array([r.weights[c] for r, c in zip(ring.reservoirs, cls)])
 
 
 @pytest.mark.parametrize(
@@ -300,18 +300,18 @@ def test_code_path_matches_trial_path(ring):
     assert tables.code_work is not None
     eps = np.asarray(tables.eps)
     for lo, hi in [(0, 16384), (3 * 16384 + 5, 3 * 16384 + 2000)]:
-        balls = montecarlo._ball_indices(tables, 11, lo, hi)
-        fast = montecarlo._code_stats(tables, balls)
-        slow = montecarlo._trial_stats(tables, balls)
+        cls = montecarlo._classes(tables, 11, lo, hi)
+        fast = montecarlo._code_stats(tables, cls)
+        slow = montecarlo._trial_stats(tables, cls)
         assert (fast.n, fast.mean, fast.m2) == (slow.n, slow.mean, slow.m2)
-        histogram, violations = montecarlo._code_summary(tables, fast.hist)
+        codes = np.flatnonzero(fast.hist)
+        histogram, violations = montecarlo._code_summary(tables, fast)
         assert list(histogram.items()) == list(slow.hist.items())
         assert violations == slow.violations
         # every key is the tabulated work of the codes counted under it
-        codes = np.flatnonzero(fast.hist)
         assert sorted(set(tables.code_work[codes].tolist())) == list(histogram)
         # exactly rounded mean of the per-trial heats both paths see
-        w = _drawn_weights(ring, balls)
+        w = _drawn_weights(ring, cls)
         q = eps[:, None] * (np.roll(w, 1, axis=0) - w)
         exact = np.array([math.fsum(row) / (hi - lo) for row in q])
         np.testing.assert_allclose(fast.mean_heats, exact, rtol=1e-15, atol=0.0)
@@ -340,18 +340,18 @@ def test_class_code_path_matches_trial_path(ring):
     assert tables.code_work is not None
     eps = np.asarray(tables.eps)
     for lo, hi in [(0, 16384), (3 * 16384 + 5, 3 * 16384 + 2000)]:
-        balls = montecarlo._ball_indices(tables, 11, lo, hi)
-        fast = montecarlo._code_stats(tables, balls)
-        slow = montecarlo._trial_stats(tables, balls)
+        cls = montecarlo._classes(tables, 11, lo, hi)
+        fast = montecarlo._code_stats(tables, cls)
+        slow = montecarlo._trial_stats(tables, cls)
         assert (fast.n, fast.mean, fast.m2) == (slow.n, slow.mean, slow.m2)
-        hist, violations = montecarlo._code_summary(tables, fast.hist)
+        hist, violations = montecarlo._code_summary(tables, fast)
         if isinstance(slow.hist, dict):
             assert list(hist.items()) == list(slow.hist.items())
         else:
             assert np.array_equal(hist, slow.hist)
         assert violations == slow.violations
         # within four roundings of the exactly rounded mean of the per-trial heats
-        w = _drawn_weights(ring, balls)
+        w = _drawn_weights(ring, cls)
         q = eps[:, None] * (np.roll(w, 1, axis=0) - w)
         exact = np.array([math.fsum(row) / (hi - lo) for row in q])
         bound = 4 * 2.0**-53 * np.abs(q).sum(axis=1) / (hi - lo)
@@ -397,15 +397,15 @@ def test_3_14_code_ring_takes_trial_path():
 def test_code_audit_decodes_each_column_twice(monkeypatch):
     ring = MIXED_RINGS["0/1/2.5 2m=8"]
     tables = montecarlo._Tables(ring)
-    counts = montecarlo._code_stats(tables, montecarlo._ball_indices(tables, 3, 0, 5000)).hist
-    hist, violations = montecarlo._code_summary(tables, counts)
+    part = montecarlo._code_stats(tables, montecarlo._classes(tables, 3, 0, 5000))
+    hist, violations = montecarlo._code_summary(tables, dataclasses.replace(part))
     audit, calls = montecarlo._work_audit, []
 
     def counted(tables, column):
         return audit(tables, lambda k: calls.append(k) or column(k))
 
     monkeypatch.setattr(montecarlo, "_work_audit", counted)
-    again, violations_again = montecarlo._code_summary(tables, counts)
+    again, violations_again = montecarlo._code_summary(tables, dataclasses.replace(part))
     assert len(calls) <= 2 * 8 + 1
     assert np.array_equal(again, hist) and violations_again == violations
 
@@ -415,9 +415,9 @@ def test_code_audit_counts_the_trials_the_trial_audit_counts():
     for ring in (urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9), MIXED_RINGS["0/1/2.5 2m=4"]):
         tables = montecarlo._Tables(ring)
         tables.eps[2] += 0.5
-        balls = montecarlo._ball_indices(tables, 3, 0, 5000)
-        slow = montecarlo._trial_stats(tables, balls)
-        _, violations = montecarlo._code_summary(tables, montecarlo._code_stats(tables, balls).hist)
+        cls = montecarlo._classes(tables, 3, 0, 5000)
+        slow = montecarlo._trial_stats(tables, cls)
+        _, violations = montecarlo._code_summary(tables, montecarlo._code_stats(tables, cls))
         assert 0 < violations == slow.violations < 5000
 
 
@@ -433,25 +433,51 @@ def test_workers_bit_identical_on_16_ring():
 
 
 LAYOUT_RINGS = {
-    "N=10": (otto_oracle_ring(), np.uint32),
-    "N=2^61+1": (urn.two_level_ring([1.0, 2.0], [2**59, 2**60], 2**61 + 1), np.uint64),
-    "2m=16": (_equilibrium_like_ring(16, 3), np.uint32),
+    "N=10": otto_oracle_ring(),
+    "N=2^61+1": urn.two_level_ring([1.0, 2.0], [2**59, 2**60], 2**61 + 1),
+    "2m=16": _equilibrium_like_ring(16, 3),
 }
 
 
-@pytest.mark.parametrize("ring, dtype", LAYOUT_RINGS.values(), ids=LAYOUT_RINGS.keys())
-def test_each_chunk_draws_its_ball_indices_from_its_own_stream(ring, dtype):
-    # chunk c draws its (2m, trials) indices with one bounded-integer call on
-    # Philox(seed) at counter c << 192; chunks 0, 1 and a ragged last chunk
-    tables = montecarlo._Tables(ring)
-    chunk, n_res = montecarlo._CHUNK, len(ring.reservoirs)
-    for c, (lo, hi) in enumerate([(0, chunk), (chunk, 2 * chunk), (2 * chunk, 2 * chunk + 123)]):
-        g = np.random.Generator(np.random.Philox(key=5, counter=c << 192))
-        expected = g.integers(0, ring.total, size=(n_res, hi - lo), dtype=dtype)
-        balls = montecarlo._ball_indices(tables, 5, lo, hi)
-        assert balls.dtype == dtype
-        assert np.array_equal(balls, expected)
+def _class_of_interval(bounds, total, prefix, word):
+    """Class #{b : b/N <= U} of a draw U in [prefix/2^16, (prefix+1)/2^16),
+    narrowed by 64 more bits from ``word()`` until no boundary lies inside."""
+    lo, width = Fraction(prefix, 2**16), Fraction(1, 2**16)
+    edges = [Fraction(b, total) for b in bounds]
+    while (below := bisect.bisect_right(edges, lo)) != bisect.bisect_left(edges, lo + width):
+        width /= 2**64
+        lo += word() * width
+    return below
 
+
+@pytest.mark.parametrize("ring", LAYOUT_RINGS.values(), ids=LAYOUT_RINGS.keys())
+def test_each_chunk_draws_its_ball_indices_from_its_own_stream(ring):
+    # chunk c reads ceil(2m n / 4) raw words of Philox(seed) at counter c << 192;
+    # word w holds the prefixes w >> 0, 16, 32 and 48 (mod 2^16), one row of n
+    # per reservoir, and each tied prefix, in flat order, reads the words after
+    # them; chunks 0, 1 and a ragged last chunk
+    tables = montecarlo._Tables(ring)
+    chunk, rows = montecarlo._CHUNK, len(ring.reservoirs)
+    bounds = [r.cumulative_counts[:-1].tolist() for r in ring.reservoirs]
+    ties = 0
+    for c, (lo, hi) in enumerate([(0, chunk), (chunk, 2 * chunk), (2 * chunk, 2 * chunk + 123)]):
+        n = hi - lo
+        bits = np.random.Philox(key=5, counter=c << 192)
+        words = bits.random_raw(-(-rows * n // 4)).tolist()
+        prefixes = np.array([w >> 16 * j & 0xFFFF for w in words for j in range(4)][:rows * n]).reshape(rows, n)
+        expected = np.empty((rows, n), dtype=np.int64)
+        for k in range(rows):
+            values, inverse = np.unique(prefixes[k], return_inverse=True)
+            # the classes at the two ends of each prefix's interval
+            below = [bisect.bisect_right(bounds[k], u * ring.total >> 16) for u in values.tolist()]
+            above = [bisect.bisect_left(bounds[k], -(-(u + 1) * ring.total >> 16)) for u in values.tolist()]
+            expected[k] = np.array(below)[inverse]
+            for j in np.flatnonzero((np.array(below) != np.array(above))[inverse]).tolist():
+                expected[k, j] = _class_of_interval(bounds[k], ring.total, int(prefixes[k, j]), bits.random_raw)
+                ties += 1
+        assert np.array_equal(montecarlo._classes(tables, 5, lo, hi), expected)
+    if rows == 16:
+        assert ties > 0  # about 4 per whole chunk
 
 @pytest.mark.parametrize("total", [2**61 + 1, 6148914691236517206])
 def test_populations_that_reject_many_words_run(total):
@@ -489,16 +515,113 @@ def test_z_mean_is_calibrated_across_chunks():
     assert 0.7 <= np.std(z) <= 1.3
 
 
-def test_numpy_bounded_integer_stream_is_pinned():
-    # the simulate goldens depend on Generator.integers, whose stream numpy
-    # may change in a feature release (NEP 19); such a change fails here first
-    uint32 = np.random.Generator(np.random.Philox(key=5)).integers(0, 1000, 8, dtype=np.uint32)
-    uint64 = np.random.Generator(np.random.Philox(key=5)).integers(0, 2**61 + 1, 8, dtype=np.uint64)
-    moved = "numpy's bounded-integer stream moved: regenerate the simulate goldens"
-    assert uint32.tolist() == [206, 733, 52, 590, 960, 207, 56, 443], moved
-    assert uint64.tolist() == [1691902981900837266, 1361647900084346185, 479174793077740180,
-                               1022325686587482400, 574152217120240512, 1562417801392023164,
-                               1714136662320734112, 1775638940934399214], moved
+def test_philox_raw_stream_is_pinned():
+    # the simulate goldens rest on Philox.random_raw, whose words follow from
+    # the Philox4x64-10 definition; a change to them fails here first
+    first = [np.random.Philox(key=5, counter=c << 192).random_raw(4).tolist() for c in (0, 1)]
+    assert first == [
+        [13535223855206698129, 10893183200674769480, 3833398344621921443, 8178605492699859198],
+        [16537810034265420718, 10237331883048570337, 18366959544605899517, 17357229025537356443],
+    ], "Philox's raw stream moved: regenerate the simulate goldens"
+
+
+EXACT_POPULATIONS = {
+    "N=10": {0.0: 8, 1.0: 2},
+    # boundary 3 * 2^15 is exact in 16 bits (u >= 2^15 lies above it), 3 * 2^15 + 5 is not
+    "N=3*2^16": {0.0: 3 * 2**15, 1.0: 5, 2.5: 3 * 2**15 - 5},
+    # boundaries 3 apart share their 16-bit floor
+    "equal floors": {0.0: 2**39, 1.0: 3, 2.5: 2**39 - 2},
+    "K=600": {0.37 * i: 1 + i % 5 for i in range(600)},
+    "N=2^61+1": {0.0: 2**61 + 1 - 2**59, 1.0: 2**59},
+    "N=2^63-1": {0.0: 2**61, 1.0: 3 * 2**61 - 8, 2.5: 7},
+}
+
+
+def _words_of(x):
+    """The 64-bit words of the binary expansion of x in [0, 1) after its first 16 bits."""
+    x = x * 2**16 % 1
+    while True:
+        x *= 2**64
+        yield int(x)
+        x %= 1
+
+
+@pytest.mark.parametrize("population", EXACT_POPULATIONS.values(), ids=EXACT_POPULATIONS.keys())
+def test_prefix_classes_carry_exact_class_mass(population):
+    # over all 2^16 prefixes of the first reservoir: an untied prefix puts
+    # 1/2^16 on its class, and a tied one puts each piece between the
+    # boundaries inside it on the class its refinement gives a draw at the
+    # piece's midpoint; class c must get exactly n_c/N
+    total = sum(population.values())
+    ring = _ring([1.0, 2.0], [population, {1.0: total}])
+    tables = montecarlo._Tables(ring)
+    counts, bounds = ring.reservoirs[0].counts, tables.bounds[0]
+    edges = [Fraction(b, total) for b in bounds]
+    prefixes = np.zeros((2, 2**16), dtype=np.uint16)
+    prefixes[0] = np.arange(2**16)
+    cls = montecarlo._classify(tables, prefixes, lambda: 0)
+    # the prefixes whose interval holds a boundary strictly inside
+    ties = sorted({(b << 16) // total for b in bounds if (b << 16) % total})
+    untied = np.ones(2**16, dtype=bool)
+    untied[ties] = False
+    mass = [Fraction(int(c), 2**16) for c in np.bincount(cls[0][untied], minlength=len(counts))]
+    # one draw per piece, in flat order, with the words its refinement reads
+    pieces, words = [], []
+    for u in ties:
+        lo, hi = Fraction(u, 2**16), Fraction(u + 1, 2**16)
+        inside = edges[bisect.bisect_right(edges, lo):bisect.bisect_left(edges, hi)]
+        assert inside, "a prefix without a boundary inside is not a tie"
+        for a, b in zip([lo, *inside], [*inside, hi]):
+            digits = _words_of((a + b) / 2)
+            c = _class_of_interval(bounds, total, u, lambda: words.append(next(digits)) or words[-1])
+            pieces.append((u, c, b - a))
+    source = iter(words)
+    tied = np.zeros((2, len(pieces)), dtype=np.uint16)
+    tied[0] = [u for u, _, _ in pieces]
+    cls = montecarlo._classify(tables, tied, source.__next__)
+    assert next(source, None) is None, "a word was left unread"
+    assert cls[0].tolist() == [c for _, c, _ in pieces]
+    for c, (_, _, length) in zip(cls[0].tolist(), pieces):
+        mass[c] += length
+    assert mass == [Fraction(int(n), total) for n in counts]
+
+
+def test_refinement_reads_words_until_the_tie_resolves():
+    def refine(bounds, total, prefix, words):
+        source = iter(words)
+        c = montecarlo._refine(bounds, total, bisect.bisect_right(bounds, prefix * total >> 16), prefix, source.__next__)
+        assert next(source, None) is None, "a word was left unread"
+        return c
+
+    # b/N = 2^-50 ties prefix 0; after one word U = 2^30 / 2^80 lies exactly at
+    # it and goes above, and one unit below goes below
+    assert refine([3], 3 << 50, 0, [1 << 30]) == 1
+    assert refine([3], 3 << 50, 0, [(1 << 30) - 1]) == 0
+    # 3/10 ties prefix 19660 and still ties after the word floor(0.3 2^80) mod 2^64,
+    # so a second word decides
+    first = (3 << 80) // 10 - (19660 << 64)
+    assert refine([3], 10, 19660, [first, 0]) == 0
+    assert refine([3], 10, 19660, [first, 2**64 - 1]) == 1
+    # a tie between two boundaries that share the prefix: the middle class
+    assert refine([2**39, 2**39 + 3], 2**40 + 1, 2**15 - 1, [2**64 - 1]) == 1
+
+
+def test_chunks_in_flight_are_bounded(monkeypatch):
+    # chunk 0 is slow: pool.map would run every other chunk meanwhile and hold
+    # their partials; at workers=2 only chunks 1-3 may start before it ends
+    classes, release, started, seen = montecarlo._classes, threading.Event(), [], []
+
+    def slow_first(tables, key, lo, hi):
+        started.append(lo // montecarlo._CHUNK)
+        if lo == 0:
+            release.wait(10)
+            seen.extend(sorted(started))
+        return classes(tables, key, lo, hi)
+
+    monkeypatch.setattr(montecarlo, "_classes", slow_first)
+    threading.Timer(0.3, release.set).start()
+    montecarlo.run_ensemble(otto_oracle_ring(), 20 * montecarlo._CHUNK, seed=1, workers=2)
+    assert seen == [0, 1, 2, 3]
 
 
 def _outputs(stats):
@@ -573,9 +696,9 @@ def test_22_reservoir_ring_takes_trial_path():
 def test_trial_path_matches_the_exchange_oracle(ring):
     tables = montecarlo._Tables(ring)
     tables.two_level = True  # exact histogram keys for any weights: compare value by value
-    balls = montecarlo._ball_indices(tables, 6, 0, 3000)
-    slow = montecarlo._trial_stats(tables, balls)
-    drawn = _drawn_weights(ring, balls)
+    cls = montecarlo._classes(tables, 6, 0, 3000)
+    slow = montecarlo._trial_stats(tables, cls)
+    drawn = _drawn_weights(ring, cls)
     trials = [exchange_step(tables.eps, row) for row in drawn.T.tolist()]
     assert Counter(work for work, _, _ in trials) == slow.hist
     assert sum(violation for _, _, violation in trials) == slow.violations

@@ -84,15 +84,21 @@ def test_ring_validation():
 
 
 def test_draw_ball_class_boundaries():
-    # ball indices 0..6 hold weight 0 and 7..9 weight 1, on both Monte Carlo paths
+    # a draw U below 7/10 has weight 0 and from 7/10 on weight 1, on both Monte
+    # Carlo paths: its 16-bit prefix u decides, but for u = floor(0.7 2^16) =
+    # 45875, whose next word decides
     low = urn.make_reservoir(1.0, {0.0: 7, 1.0: 3}, urn.Group.LOW)
     high = urn.make_reservoir(2.0, {1.0: 10}, urn.Group.HIGH)
     tables = montecarlo._Tables(urn.EngineRing(reservoirs=(low, high)))
-    for ball, weight_class in [(0, 0), (6, 0), (7, 1), (9, 1)]:
-        balls = np.array([[ball], [0]], dtype=np.uint64)
-        assert np.flatnonzero(montecarlo._code_stats(tables, balls).hist).tolist() == [weight_class]
-        # W = (1 - 2) w + (2 - 1) 1 for a weight-w ball drawn at the low reservoir
-        assert montecarlo._trial_stats(tables, balls).mean == 1.0 - weight_class
+    for prefix, words, weight_class in [(0, [], 0), (45874, [], 0), (45875, [0], 0),
+                                        (45875, [2**64 - 1], 1), (45876, [], 1), (65535, [], 1)]:
+        source = iter(words)
+        cls = montecarlo._classify(tables, np.array([[prefix], [prefix]], dtype=np.uint16), source.__next__)
+        assert next(source, None) is None
+        assert cls[:, 0].tolist() == [weight_class, 0]
+        assert np.flatnonzero(montecarlo._code_stats(tables, cls).hist).tolist() == [weight_class]
+        # W = (1 - 2) w + (2 - 1) 1 for a weight-w draw at the low reservoir
+        assert montecarlo._trial_stats(tables, cls).mean == 1.0 - weight_class
 
 
 def test_exchange_step_work_and_heats_by_hand():
