@@ -14,8 +14,13 @@ from urnengine import analytic, continuum, thermo
 def main() -> None:
     n_total = 10_000
 
+    def otto(n_l, n_h):
+        """Mean heats and work of the m = 1 ring at altitudes 1 and 2, n_l and n_h excited."""
+        populations = [{0.0: n_total - n, 1.0: n} for n in (n_l, n_h)]
+        return analytic.mean_heats_ring(analytic.RingSpec.from_populations([1.0, 2.0], populations))
+
     # the m = 1 ring: eta = W/(-Q_h) as an engine, COP = -Q_h/W as a pump
-    _, q_h, w = analytic.mean_heats_ring(analytic.RingSpec.from_counts([1.0, 2.0], [2000, 3000], n_total))
+    _, q_h, w = otto(2000, 3000)
     beta_l = thermo.beta_from_occupancy(2000, n_total, 1.0)
     beta_h = thermo.beta_from_occupancy(3000, n_total, 2.0)
     print(
@@ -25,7 +30,7 @@ def main() -> None:
         f"eta_C={thermo.carnot_efficiency(beta_l, beta_h):.4f}"
     )
 
-    _, q_h, w = analytic.mean_heats_ring(analytic.RingSpec.from_counts([1.0, 2.0], [3000, 2000], n_total))
+    _, q_h, w = otto(3000, 2000)
     beta_l = thermo.beta_from_occupancy(3000, n_total, 1.0)
     beta_h = thermo.beta_from_occupancy(2000, n_total, 2.0)
     print(
@@ -37,7 +42,7 @@ def main() -> None:
 
     beta_l = thermo.beta_from_occupancy(4500, n_total, 1.0)
     beta_h = thermo.beta_from_occupancy(5500, n_total, 2.0)
-    _, q_h, w = analytic.mean_heats_ring(analytic.RingSpec.from_counts([1.0, 2.0], [4500, 5500], n_total))
+    _, q_h, w = otto(4500, 5500)
     print(
         f"mixed signs W={w:+.4f}  "
         f"eta={w / -q_h:.3f}  "

@@ -21,14 +21,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "thermo": ("beta_from_occupancy", "carnot_efficiency", "entropy_equally_spaced",
                "entropy_s", "log_degeneracy", "occupancy", "occupancy_np"),
-    "urn": ("EngineRing", "Group", "Reservoir", "make_reservoir", "two_level_ring"),
     "analytic": ("RingSpec", "WorkStatistics", "equilibrium_ring", "mean_heats_ring",
                  "work_statistics_ring"),
     "continuum": ("CarnotEndpoints", "ContinuumHeats", "continuum_heats",
                   "discretized_ring", "max_reversible_work", "reversible_endpoints",
                   "reversible_work"),
     "montecarlo": ("ComparisonReport", "EnsembleStats", "compare_to_analytic",
-                   "exact_work_distribution", "ring_spec_of", "run_ensemble"),
+                   "exact_work_distribution", "run_ensemble"),
     "frontier": ("FrontierPoint", "Mode", "RegionSample", "carnot_frontier",
                  "evaluate_configs", "frontier_curve", "max_work",
                  "optimize_efficiency", "sample_region"),

@@ -12,9 +12,11 @@ kappa_n(W) = sum_k (eps_k - eps_{k+1})^n * kappa_n(w_k).  For the 0/1 model
 (law ((0, 1), (1 - f, f))) the variance term is f_k (1 - f_k), and
 Var(W)/<W> measures the relative fluctuation of one cycle's output.
 
-The two-reservoir Otto engine is the m = 1 ring (``RingSpec.from_counts``);
-where it runs as an engine its efficiency W/(-Q_h) is 1 - eps_l/eps_h, which
-depends only on the altitudes.
+A ring of balls (``RingSpec.from_populations``) also keeps its integer ball
+counts, which the Monte Carlo replay of ``montecarlo`` draws from; the same
+spec gives its closed forms here.  The two-reservoir Otto engine is the
+m = 1 ring; where it runs as an engine its efficiency W/(-Q_h) is
+1 - eps_l/eps_h, which depends only on the altitudes.
 """
 
 from __future__ import annotations
@@ -52,7 +54,10 @@ class RingSpec:
     ``laws[k]`` is ``(values, probs)``: the weights a draw at reservoir k can
     carry, each finite and >= 0, and their probabilities, which sum to 1.
     The mean weights, the per-reservoir cumulants and ``two_level`` (every
-    value 0 or 1: the 0/1 model) derive from the laws.
+    value 0 or 1: the 0/1 model) derive from the laws.  A spec built by
+    ``from_populations`` also holds ``counts[k]``, the ball count of each of
+    reservoir k's values, and ``total``, the N balls of every reservoir;
+    other specs hold None there and cannot be sampled.
 
     Index convention is cyclic with k = 0..2m-1, the first m entries the low
     group; index -1 wraps to 2m-1.
@@ -61,6 +66,8 @@ class RingSpec:
     altitudes: np.ndarray
     laws: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
     mean_weights: np.ndarray = field(init=False, repr=False)  # f_k, the mean weight at reservoir k
+    counts: tuple[tuple[int, ...], ...] | None = field(init=False, default=None, repr=False)
+    total: int | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         eps = np.array(self.altitudes, dtype=float)
@@ -89,24 +96,42 @@ class RingSpec:
         return cls(altitudes, tuple(((0.0, 1.0), (1.0 - fk, fk)) for fk in f))
 
     @classmethod
-    def from_counts(cls, altitudes, excited, total: int) -> "RingSpec":
-        """0/1-weight ring with ``excited[k]`` of ``total`` balls at weight 1.
+    def from_populations(cls, altitudes, populations) -> "RingSpec":
+        """Ring of weighted balls: ``populations[k]`` maps each weight at
+        reservoir k to its ball count, N < 2^63 balls in every reservoir.
 
-        Every low altitude must lie below every high one; at m = 1 that is
-        the Otto engine's 0 < eps_l < eps_h.
+        Classes are sorted and empty ones dropped.  Class c is drawn at
+        n_c/N and the first class at 1 minus the rest, so a 0/1 reservoir
+        gets ``bernoulli``'s law at f = n_1/N bit for bit.
         """
-        eps = np.asarray(altitudes, dtype=float)
-        n = np.asarray(excited)
-        if eps.ndim != 1 or eps.size < 2 or eps.size % 2 != 0 or n.shape != eps.shape:
-            raise ValueError("ring must hold 2m >= 2 reservoirs")
-        if np.any(n < 0) or np.any(n > total):
-            raise ValueError("invalid population")
-        m = eps.size // 2
-        if not (0.0 < eps.min() and eps[:m].max() < eps[m:].min() and np.isfinite(eps).all()):
-            raise ValueError("invalid altitude order")
-        if total < 1:
-            raise ValueError("empty reservoir")
-        return cls.bernoulli(eps, n / total)
+        if len(altitudes) != len(populations):
+            raise ValueError("altitudes and populations must have equal length")
+        values, counts = [], []
+        for population in populations:
+            items = sorted(population.items())
+            for w, c in items:
+                if not (0.0 <= float(w) < math.inf and 0 <= c < math.inf and c == int(c)):
+                    raise ValueError("invalid population")
+            kept = [(float(w), int(c)) for w, c in items if int(c) > 0]
+            if not kept:
+                raise ValueError("empty reservoir")
+            if sum(c for _, c in kept) >= 2**63:  # counts and N are int64
+                raise ValueError("invalid population")
+            values.append(tuple(w for w, _ in kept))
+            counts.append(tuple(c for _, c in kept))
+        totals = set(map(sum, counts))
+        if len(totals) != 1:
+            raise ValueError("all reservoirs must hold the same number of balls")
+        total = totals.pop()
+        laws = []
+        for v, n in zip(values, counts):
+            rest = (np.array(n[1:], dtype=np.int64) / total).tolist()
+            # past N = 2^53 the rounded rest may sum above 1 by a few ulp
+            laws.append((v, [max(0.0, 1.0 - math.fsum(rest)), *rest]))
+        spec = cls(altitudes, laws)
+        object.__setattr__(spec, "counts", tuple(counts))
+        object.__setattr__(spec, "total", total)
+        return spec
 
     @property
     def m(self) -> int:

@@ -188,7 +188,8 @@ def _echo(args: argparse.Namespace) -> dict[str, Any]:
 
 def _handle_analytic_otto(args: argparse.Namespace) -> CommandResult:
     from . import analytic, thermo
-    spec = analytic.RingSpec.from_counts([args.eps_l, args.eps_h], [args.n_l, args.n_h], args.N)
+    spec = analytic.RingSpec.from_populations(
+        [args.eps_l, args.eps_h], [{0.0: args.N - n, 1.0: n} for n in (args.n_l, args.n_h)])
     q_l, q_h, w = analytic.mean_heats_ring(spec)
     var_w = analytic.work_statistics_ring(spec).variance
     bl, bh = (thermo.beta_from_occupancy(n, args.N, eps) if n not in (0, args.N) else None
@@ -240,11 +241,10 @@ def _handle_thermo_degeneracy(args: argparse.Namespace) -> CommandResult:
 
 
 def _handle_simulate(args: argparse.Namespace) -> CommandResult:
-    from . import analytic, montecarlo, urn
-    ring = urn.two_level_ring(args.eps, args.n, args.N)
-    spec = montecarlo.ring_spec_of(ring)
+    from . import analytic, montecarlo
+    spec = analytic.RingSpec.from_populations(args.eps, [{0.0: args.N - n, 1.0: n} for n in args.n])
     analytic.work_statistics_ring(spec)  # an overflowing closed form fails before any draw
-    stats = montecarlo.run_ensemble(ring, args.trials, args.seed, workers=args.workers)
+    stats = montecarlo.run_ensemble(spec, args.trials, args.seed, workers=args.workers)
     report = montecarlo.compare_to_analytic(stats, spec)
     outputs: dict[str, Any] = {
         "trials": stats.trials,

@@ -1,6 +1,14 @@
 """Reproducible ensembles of exchange trials with mergeable statistics.
 
-Determinism contract: run_ensemble(ring, trials, seed) is bit-identical for
+A ring is a ``RingSpec`` built by ``RingSpec.from_populations``: 2m
+reservoirs, each holding N balls of integer counts per weight class.  One
+cycle draws a ball uniformly from every reservoir at once, each ball at
+probability 1/N from the ring's initial populations, and carries each drawn
+ball one step around the ring; an ensemble re-draws from the same
+populations, never evolving them over repeated cycles.  A spec without
+populations, such as ``RingSpec.bernoulli``'s, is a domain error.
+
+Determinism contract: run_ensemble(spec, trials, seed) is bit-identical for
 any worker count.  Trials are processed in fixed-size chunks of _CHUNK trials
 regardless of worker count, and chunk c draws all its weight classes from
 its own stream, Philox keyed by the seed with counter c << 192, so any partition
@@ -39,12 +47,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import _EXPORTS
 from .analytic import RingSpec, _checked_seed, mean_heats_ring, work_statistics_ring
-from .urn import EngineRing
 
 __all__ = _EXPORTS["montecarlo"]
 
@@ -92,21 +100,23 @@ class ComparisonReport:
 class _Tables:
     """Precomputed per-ring draw tables shared by all chunks."""
 
-    def __init__(self, ring: EngineRing):
-        self.eps = [r.altitude for r in ring.reservoirs]
+    def __init__(self, spec: RingSpec):
+        if spec.counts is None:
+            raise ValueError("ring has no ball populations: build it with RingSpec.from_populations")
+        self.eps = spec.altitudes.tolist()
         n = len(self.eps)
         self.deltas = [self.eps[k] - self.eps[(k + 1) % n] for k in range(n)]
-        self.weights = [np.asarray(r.weights, dtype=float) for r in ring.reservoirs]
-        self.total = n_tot = ring.total
+        self.weights = [np.array(values) for values, _ in spec.laws]
+        self.total = n_tot = spec.total
         # a draw U in [0, 1) has class c = #{b : b <= U N}, b the class boundaries;
         # its 16-bit prefix u lies above b / N when u > ceil(b 2^16 / N) - 1, and
         # only u equal to that cut can tie b.  Cut column j holds each
         # reservoir's boundary j, and 0xFFFF (nothing above) past its last.
-        self.bounds = [r.cumulative_counts[:-1].tolist() for r in ring.reservoirs]
+        self.bounds = [list(accumulate(counts))[:-1] for counts in spec.counts]
         width = max(map(len, self.bounds))
         self.cuts = np.array([[((b << 16) - 1) // n_tot for b in bs] + [0xFFFF] * (width - len(bs))
                               for bs in self.bounds], dtype=np.uint16).T[..., None]
-        self.two_level = all(r.is_two_level for r in ring.reservoirs)
+        self.two_level = spec.two_level
         # work support bounds, for fixed-width binning of general weights
         lo = hi = 0.0
         for k in range(n):
@@ -287,10 +297,11 @@ def _merge(a: _Partial, b: _Partial) -> _Partial:
     return a
 
 
-def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> EnsembleStats:
-    """Simulate ``trials`` independent cycles from the same initial ring.
+def run_ensemble(spec: RingSpec, trials: int, seed: int, workers: int = 1) -> EnsembleStats:
+    """Simulate ``trials`` independent cycles from the same initial ring,
+    a spec built by ``RingSpec.from_populations``.
 
-    Bit-identical output for fixed (ring, trials, seed), whatever ``workers``
+    Bit-identical output for fixed (spec, trials, seed), whatever ``workers``
     is; see the module docstring for the splitting scheme.
     """
     if trials < 1:
@@ -298,7 +309,7 @@ def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> 
     if workers < 1:
         raise ValueError("workers must be >= 1")
     key = _checked_seed(seed)
-    tables = _Tables(ring)
+    tables = _Tables(spec)
     ranges = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
     stats = _trial_stats if tables.code_work is None else _code_stats
     # partials fold into the accumulator in chunk order as they arrive, from
@@ -336,16 +347,8 @@ def run_ensemble(ring: EngineRing, trials: int, seed: int, workers: int = 1) -> 
     )
 
 
-def ring_spec_of(ring: EngineRing) -> RingSpec:
-    """Analytic description of a ring: each reservoir's weight law, class c
-    at probability n_c/N and the first class at 1 minus the rest, so a 0/1
-    reservoir gets 1 - f exactly as ``RingSpec.from_counts`` does."""
-    laws = []
-    for r in ring.reservoirs:
-        rest = (r.counts[1:] / r.total).tolist()
-        # past N = 2^53 the rounded rest may sum above 1 by a few ulp
-        laws.append((r.weights.tolist(), [max(0.0, 1.0 - math.fsum(rest)), *rest]))
-    return RingSpec(ring.altitudes, laws)
+def ring_spec_of(spec: RingSpec) -> RingSpec:  # benchmark shim, deleted with urn.py
+    return spec
 
 
 def exact_work_distribution(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:

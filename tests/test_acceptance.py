@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from urnengine import analytic, continuum, frontier, montecarlo, thermo, urn
+from rings import two_level
+from urnengine import analytic, continuum, frontier, montecarlo, thermo
 
 N_BALLS = 10_000
-
 
 def _report(name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}: {name} ({detail})")
@@ -23,7 +23,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 def test_otto_engine_worked_example():
     t0 = time.perf_counter()
-    spec = analytic.RingSpec.from_counts([1.0, 2.0], [2000, 3000], N_BALLS)
+    spec = two_level([1.0, 2.0], [2000, 3000], N_BALLS)
     _, q_h, w = analytic.mean_heats_ring(spec)
     eta = w / -q_h
     beta_l = thermo.beta_from_occupancy(2000, N_BALLS, 1.0)
@@ -52,7 +52,7 @@ def test_otto_engine_worked_example():
 
 def test_heat_pump_worked_example():
     # swapping the populations reverses both heat flows and the work sign
-    spec = analytic.RingSpec.from_counts([1.0, 2.0], [3000, 2000], N_BALLS)
+    spec = two_level([1.0, 2.0], [3000, 2000], N_BALLS)
     _, q_h, w = analytic.mean_heats_ring(spec)
     cop = -q_h / w  # Q_h = 2d and W = -d exactly, so COP is exactly 2
     beta_l = thermo.beta_from_occupancy(3000, N_BALLS, 1.0)
@@ -78,7 +78,7 @@ def test_negative_temperature_branches():
     b2 = thermo.beta_from_occupancy(8000, N_BALLS, 2.0)
     beta_l = thermo.beta_from_occupancy(4500, N_BALLS, 1.0)
     beta_h = thermo.beta_from_occupancy(5500, N_BALLS, 2.0)
-    spec = analytic.RingSpec.from_counts([1.0, 2.0], [4500, 5500], N_BALLS)
+    spec = two_level([1.0, 2.0], [4500, 5500], N_BALLS)
     _, q_h, w = analytic.mean_heats_ring(spec)
     eta = w / -q_h
     eta_max = thermo.carnot_efficiency(beta_l, beta_h)
@@ -101,13 +101,12 @@ def test_negative_temperature_branches():
 
 def test_work_distribution_against_simulation():
     t0 = time.perf_counter()
-    ring = urn.two_level_ring([1.0, 2.0], [2, 3], 10)
-    spec = montecarlo.ring_spec_of(ring)
+    spec = two_level([1.0, 2.0], [2, 3], 10)
     stats = analytic.work_statistics_ring(spec)
     values, probs = montecarlo.exact_work_distribution(spec)
     mean_enum = float(np.dot(values, probs))
     var_enum = float(np.dot(values**2, probs) - mean_enum**2)
-    ens = montecarlo.run_ensemble(ring, 1_000_000, seed=2026, workers=1)
+    ens = montecarlo.run_ensemble(spec, 1_000_000, seed=2026, workers=1)
     report = montecarlo.compare_to_analytic(ens, spec)
     elapsed = time.perf_counter() - t0
     ok = (
@@ -232,7 +231,7 @@ def test_invariant_suite_holds():
     rng = np.random.default_rng(123)
     # conservation: a million random exchange trials, zero violations
     counts = [int(v) for v in rng.integers(1, 50, size=4)]
-    ring = urn.two_level_ring([0.7, 1.3, 3.1, 2.9], counts, 50)
+    ring = two_level([0.7, 1.3, 3.1, 2.9], counts, 50)
     ens = montecarlo.run_ensemble(ring, 1_000_000, seed=77, workers=4)
     conservation_ok = ens.conservation_violations == 0
 

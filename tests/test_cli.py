@@ -14,6 +14,7 @@ import tracemalloc
 import pytest
 
 import urnengine
+from rings import two_level
 from urnengine import analytic, cli, continuum, thermo
 from urnengine import frontier as fr
 import numpy as np
@@ -60,12 +61,21 @@ def test_otto_known_values(capsys):
 def test_otto_inputs_reproduce_outputs(capsys):
     doc = run_json(OTTO, capsys)
     inp = doc["inputs"]
-    spec = analytic.RingSpec.from_counts(
-        [inp["eps_l"], inp["eps_h"]], [inp["n_l"], inp["n_h"]], inp["N"]
-    )
+    spec = two_level([inp["eps_l"], inp["eps_h"]], [inp["n_l"], inp["n_h"]], inp["N"])
     assert analytic.mean_heats_ring(spec)[2] == pytest.approx(doc["outputs"]["W"], abs=1e-12)
     beta = thermo.beta_from_occupancy(inp["n_l"], inp["N"], inp["eps_l"])
     assert beta == pytest.approx(doc["outputs"]["beta_l"], abs=1e-12)
+
+
+def test_otto_in_either_altitude_order_is_the_m1_ring(capsys):
+    # eps_l above eps_h is the m=1 ring too: the heats and W of analytic ring
+    # at f = n/N, bit for bit
+    otto = run_json(["analytic", "otto", "--eps-l", "2", "--eps-h", "1",
+                     "--N", "10", "--n-l", "2", "--n-h", "3"], capsys)["outputs"]
+    ring = run_json(["analytic", "ring", "--eps", "2,1", "--f", "0.2,0.3"], capsys)["outputs"]
+    assert (otto["Q_l"], otto["Q_h"], otto["W"], otto["var_W"]) == (
+        ring["Q_low"], ring["Q_high"], ring["W"], ring["var_W"])
+    assert otto["W"] == otto["Q_h"] == -0.09999999999999998 and otto["eta"] == -1.0
 
 
 def test_degenerate_counts_leave_beta_null(capsys):
@@ -429,6 +439,11 @@ _REDUCED = ["--beta-l", "1.38", "--beta-h", "0.42", "--l1", "1.38", "--lm", "1.5
     # f = (0.2, 0.3) varies, but d_k^2 f_k (1 - f_k) underflows at 1e-320
     (["simulate", "--eps", "1e-320,2e-320", "--n", "2,3", "--N", "10", "--trials", "1000", "--seed", "1"],
      "work variance too small for a float"),
+    # every ring takes one altitude rule, positive and finite, in any order
+    (["analytic", "otto", "--eps-l", "nan", "--eps-h", "2", "--N", "10", "--n-l", "2", "--n-h", "3"],
+     "invalid altitude"),
+    (["analytic", "otto", "--eps-l", "0", "--eps-h", "2", "--N", "10", "--n-l", "2", "--n-h", "3"],
+     "invalid altitude"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_nan_inputs_exit_one(argv, message, capsys):

@@ -7,9 +7,9 @@ import sys
 import pytest
 
 import urnengine
-from urnengine import analytic, continuum, frontier, montecarlo, thermo, urn
+from urnengine import analytic, continuum, frontier, montecarlo, thermo
 
-HOMES = {"thermo": thermo, "urn": urn, "analytic": analytic, "continuum": continuum,
+HOMES = {"thermo": thermo, "analytic": analytic, "continuum": continuum,
          "montecarlo": montecarlo, "frontier": frontier}
 
 
@@ -75,6 +75,7 @@ def test_simulate_loads_neither_frontier_nor_continuum():
                           "--trials", "100", "--seed", "1"])
     assert "urnengine.montecarlo" in loaded
     assert "urnengine.frontier" not in loaded and "urnengine.continuum" not in loaded
+    assert "urnengine.urn" not in loaded  # the benchmark shim
 
 
 def test_usage_errors_load_no_numpy():

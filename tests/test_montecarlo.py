@@ -13,11 +13,12 @@ import pytest
 from scipy import stats as sps
 
 from exchange_oracle import exchange_step
-from urnengine import analytic, montecarlo, urn
+from rings import two_level
+from urnengine import analytic, montecarlo
 
 
 def otto_oracle_ring():
-    return urn.two_level_ring([1.0, 2.0], [2, 3], 10)  # f = (0.2, 0.3)
+    return two_level([1.0, 2.0], [2, 3], 10)  # f = (0.2, 0.3)
 
 
 def test_run_ensemble_validation():
@@ -26,11 +27,14 @@ def test_run_ensemble_validation():
         montecarlo.run_ensemble(ring, 0, seed=1)
     with pytest.raises(ValueError, match="workers"):
         montecarlo.run_ensemble(ring, 10, seed=1, workers=0)
+    # a spec of laws alone has no balls to draw
+    with pytest.raises(ValueError, match="ring has no ball populations"):
+        montecarlo.run_ensemble(analytic.RingSpec.bernoulli([1.0, 2.0], [0.2, 0.3]), 10, seed=1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_64_bits_is_a_domain_error(seed):
-    ring = urn.two_level_ring([1.0, 2.0], [2, 3], 10)
+    ring = two_level([1.0, 2.0], [2, 3], 10)
     with pytest.raises(ValueError, match="seed must be in"):
         montecarlo.run_ensemble(ring, 10, seed)
 
@@ -68,7 +72,7 @@ def test_different_seeds_differ():
 def test_ensemble_matches_analytic_zscores():
     ring = otto_oracle_ring()
     stats = montecarlo.run_ensemble(ring, 400_000, seed=42)
-    report = montecarlo.compare_to_analytic(stats, montecarlo.ring_spec_of(ring))
+    report = montecarlo.compare_to_analytic(stats, ring)
     assert report.analytic_mean == pytest.approx(0.1, abs=1e-14)
     assert report.analytic_variance == pytest.approx(0.37, abs=1e-14)
     assert abs(report.z_mean) < 4.0
@@ -92,7 +96,7 @@ def test_histogram_reconstructs_streaming_moments():
 
 
 def test_exact_distribution_oracle():
-    spec = montecarlo.ring_spec_of(otto_oracle_ring())
+    spec = otto_oracle_ring()
     values, probs = montecarlo.exact_work_distribution(spec)
     assert list(values) == [-1.0, 0.0, 1.0]
     # P(+1) = f_h(1-f_l), P(-1) = f_l(1-f_h), rest at zero
@@ -126,43 +130,41 @@ def test_exact_distribution_limits():
             montecarlo.exact_work_distribution(spec)
 
 
-@pytest.mark.parametrize("ring", [
-    otto_oracle_ring(),
-    urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9),
-    urn.two_level_ring([1.0, 2.0], [3, 2**62 + 1], 2**63 - 1),
-    urn.two_level_ring([1.0, 1.5, 2.5, 2.0], [2**53 + 1, 5, 2**60, 2**62], 2**62 + 3),
+@pytest.mark.parametrize("eps, excited, total", [
+    ([1.0, 2.0], [2, 3], 10),
+    ([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9),
+    ([1.0, 2.0], [3, 2**62 + 1], 2**63 - 1),
+    ([1.0, 1.5, 2.5, 2.0], [2**53 + 1, 5, 2**60, 2**62], 2**62 + 3),
 ], ids=["otto", "2m=4", "N=2^63-1", "N=2^62+3"])
-def test_ring_spec_of_a_0_1_ring_is_from_counts(ring):
-    # reservoirs that hold both weights: the same laws, bit for bit
-    spec = montecarlo.ring_spec_of(ring)
-    excited = [int(r.counts[1]) for r in ring.reservoirs]
-    counted = analytic.RingSpec.from_counts(ring.altitudes, excited, ring.total)
+def test_ring_spec_of_a_0_1_ring_is_from_counts(eps, excited, total):
+    # reservoirs that hold both weights: the laws of f = n/N, bit for bit
+    spec = two_level(eps, excited, total)
+    bernoulli = analytic.RingSpec.bernoulli(eps, np.asarray(excited) / total)
     assert [[list(map(float.hex, part)) for part in law] for law in spec.laws] == [
-        [list(map(float.hex, part)) for part in law] for law in counted.laws]
-    assert spec.mean_weights.tobytes() == counted.mean_weights.tobytes()
+        [list(map(float.hex, part)) for part in law] for law in bernoulli.laws]
+    assert spec.mean_weights.tobytes() == bernoulli.mean_weights.tobytes()
 
 
 def test_ring_spec_of_a_mixed_ring_copies_its_classes():
-    low = urn.make_reservoir(1.0, {0.0: 3, 1.0: 5, 2.5: 2}, urn.Group.LOW)
-    high = urn.make_reservoir(2.0, {2.5: 10}, urn.Group.HIGH)
-    spec = montecarlo.ring_spec_of(urn.EngineRing((low, high)))
+    spec = analytic.RingSpec.from_populations([1.0, 2.0], [{0.0: 3, 1.0: 5, 2.5: 2}, {2.5: 10}])
     # class c at n_c/N, the first class at 1 minus the rest
     assert spec.laws == (((0.0, 1.0, 2.5), (1.0 - math.fsum([0.5, 0.2]), 0.5, 0.2)), ((2.5,), (1.0,)))
+    assert spec.counts == ((3, 5, 2), (10,)) and spec.total == 10
     assert not spec.two_level
 
 
 def test_simulated_support_is_subset_of_enumerated():
-    ring = urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9)
+    ring = two_level([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9)
     stats = montecarlo.run_ensemble(ring, 30_000, seed=9)
-    values, _ = montecarlo.exact_work_distribution(montecarlo.ring_spec_of(ring))
+    values, _ = montecarlo.exact_work_distribution(ring)
     support = set(float(v) for v in values)
     assert set(stats.histogram) <= support  # keys match bit for bit
 
 
 def test_m2_ring_ensemble_agrees():
-    ring = urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9)
+    ring = two_level([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9)
     stats = montecarlo.run_ensemble(ring, 300_000, seed=17, workers=4)
-    report = montecarlo.compare_to_analytic(stats, montecarlo.ring_spec_of(ring))
+    report = montecarlo.compare_to_analytic(stats, ring)
     assert report.passed
     assert abs(report.z_mean) < 4.0
     assert abs(report.z_var) < 4.0
@@ -172,10 +174,10 @@ def test_m2_ring_ensemble_agrees():
 
 def test_deterministic_ring_reports_exact_match():
     # every ball weight pinned: zero variance, flagged as exact
-    ring = urn.two_level_ring([1.0, 2.0], [0, 5], 5)
+    ring = two_level([1.0, 2.0], [0, 5], 5)
     stats = montecarlo.run_ensemble(ring, 5_000, seed=1)
     assert stats.var_work == 0.0
-    report = montecarlo.compare_to_analytic(stats, montecarlo.ring_spec_of(ring))
+    report = montecarlo.compare_to_analytic(stats, ring)
     assert report.exact_match is True
     assert report.z_mean is None and report.z_var is None
     assert report.passed
@@ -201,26 +203,24 @@ def test_wrong_spec_fails_the_comparison():
 def test_underflowing_work_variance_is_a_domain_error():
     # f = (0.2, 0.3): d_k^2 f_k (1 - f_k) underflows to 0 at 1e-320, and so
     # does the sample variance
-    stats = montecarlo.run_ensemble(urn.two_level_ring([1e-320, 2e-320], [2, 3], 10), 1000, seed=1)
+    stats = montecarlo.run_ensemble(two_level([1e-320, 2e-320], [2, 3], 10), 1000, seed=1)
     with pytest.raises(ValueError, match="work variance too small for a float"):
         montecarlo.compare_to_analytic(stats, analytic.RingSpec.bernoulli([1e-320, 2e-320], [0.2, 0.3]))
     # pinned weights, or no altitude gap, stay deterministic at any scale
     for eps, n in (([1e-320, 2e-320], [0, 10]), ([1.0, 1.0], [3, 3])):
-        ring = urn.two_level_ring(eps, n, 10)
+        ring = two_level(eps, n, 10)
         report = montecarlo.compare_to_analytic(montecarlo.run_ensemble(ring, 1000, seed=1),
-                                                montecarlo.ring_spec_of(ring))
+                                                ring)
         assert report.exact_match is True and report.passed
 
 
 def test_multiclass_ring_binned_histogram():
-    low = urn.make_reservoir(1.0, {0.0: 3, 0.5: 3, 1.0: 3}, urn.Group.LOW)
-    high = urn.make_reservoir(2.0, {0.0: 2, 0.5: 4, 1.0: 3}, urn.Group.HIGH)
-    ring = urn.EngineRing(reservoirs=(low, high))
+    ring = analytic.RingSpec.from_populations([1.0, 2.0], [{0.0: 3, 0.5: 3, 1.0: 3}, {0.0: 2, 0.5: 4, 1.0: 3}])
     stats = montecarlo.run_ensemble(ring, 100_000, seed=21, workers=2)
     assert stats.bin_width is not None and stats.bin_width > 0.0
     assert sum(stats.histogram.values()) == stats.trials
     assert stats.conservation_violations == 0
-    report = montecarlo.compare_to_analytic(stats, montecarlo.ring_spec_of(ring))
+    report = montecarlo.compare_to_analytic(stats, ring)
     # general weights: mean check only, no 0/1 variance model
     assert report.analytic_variance is None and report.z_var is None
     assert report.tv_distance is None
@@ -241,7 +241,7 @@ def test_compare_rejects_mismatched_spec():
 def test_ensemble_histogram_chi_square():
     ring = otto_oracle_ring()
     stats = montecarlo.run_ensemble(ring, 200_000, seed=77)
-    values, probs = montecarlo.exact_work_distribution(montecarlo.ring_spec_of(ring))
+    values, probs = montecarlo.exact_work_distribution(ring)
     expected = probs * stats.trials
     observed = np.array([stats.histogram.get(float(v), 0) for v in values])
     chi2 = float(((observed - expected) ** 2 / expected).sum())
@@ -256,13 +256,10 @@ def _altitudes(rng, n):
 def _equilibrium_like_ring(n, seed, total=1000):
     rng = np.random.default_rng(seed)
     eps = _altitudes(rng, n)
-    return urn.two_level_ring(eps, rng.integers(50, 400, n), total)
+    return two_level(eps, rng.integers(50, 400, n), total)
 
 
-def _ring(eps, populations):
-    n = len(eps)
-    groups = [urn.Group.LOW if k < n // 2 else urn.Group.HIGH for k in range(n)]
-    return urn.EngineRing(tuple(map(urn.make_reservoir, eps, populations, groups)))
+_ring = analytic.RingSpec.from_populations
 
 
 def _mixed_ring(n, seed, weights=(0.0, 1.0, 2.5), total=1000):
@@ -279,17 +276,17 @@ def _mixed_ring(n, seed, weights=(0.0, 1.0, 2.5), total=1000):
 def _drawn_weights(ring, cls):
     """Weight of each draw, (2m, trials): class c at reservoir k weighs its
     weight class c."""
-    return np.array([r.weights[c] for r, c in zip(ring.reservoirs, cls)])
+    return np.array([np.array(values)[c] for (values, _), c in zip(ring.laws, cls)])
 
 
 @pytest.mark.parametrize(
     "ring",
     [
-        urn.two_level_ring([1.0, 2.0], [2, 3], 10),
+        two_level([1.0, 2.0], [2, 3], 10),
         # equal weights: heats exactly 0, work pure rounding residue (audit edge)
-        urn.two_level_ring([0.1, 0.2, 0.7, 0.3], [9, 9, 9, 9], 10),
+        two_level([0.1, 0.2, 0.7, 0.3], [9, 9, 9, 9], 10),
         # an all-0 and an all-1 reservoir
-        urn.two_level_ring([0.5, 1.0, 2.5, 1.5], [0, 3, 10, 4], 10),
+        two_level([0.5, 1.0, 2.5, 1.5], [0, 3, 10, 4], 10),
         _equilibrium_like_ring(16, 1),
         _equilibrium_like_ring(20, 2),
     ],
@@ -412,7 +409,7 @@ def test_code_audit_decodes_each_column_twice(monkeypatch):
 
 def test_code_audit_counts_the_trials_the_trial_audit_counts():
     # a shifted altitude makes heats and work disagree on some draws only
-    for ring in (urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9), MIXED_RINGS["0/1/2.5 2m=4"]):
+    for ring in (two_level([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9), MIXED_RINGS["0/1/2.5 2m=4"]):
         tables = montecarlo._Tables(ring)
         tables.eps[2] += 0.5
         cls = montecarlo._classes(tables, 3, 0, 5000)
@@ -434,7 +431,7 @@ def test_workers_bit_identical_on_16_ring():
 
 LAYOUT_RINGS = {
     "N=10": otto_oracle_ring(),
-    "N=2^61+1": urn.two_level_ring([1.0, 2.0], [2**59, 2**60], 2**61 + 1),
+    "N=2^61+1": two_level([1.0, 2.0], [2**59, 2**60], 2**61 + 1),
     "2m=16": _equilibrium_like_ring(16, 3),
 }
 
@@ -457,8 +454,8 @@ def test_each_chunk_draws_its_ball_indices_from_its_own_stream(ring):
     # per reservoir, and each tied prefix, in flat order, reads the words after
     # them; chunks 0, 1 and a ragged last chunk
     tables = montecarlo._Tables(ring)
-    chunk, rows = montecarlo._CHUNK, len(ring.reservoirs)
-    bounds = [r.cumulative_counts[:-1].tolist() for r in ring.reservoirs]
+    chunk, rows = montecarlo._CHUNK, len(ring.counts)
+    bounds = [np.cumsum(counts)[:-1].tolist() for counts in ring.counts]
     ties = 0
     for c, (lo, hi) in enumerate([(0, chunk), (chunk, 2 * chunk), (2 * chunk, 2 * chunk + 123)]):
         n = hi - lo
@@ -483,8 +480,8 @@ def test_each_chunk_draws_its_ball_indices_from_its_own_stream(ring):
 def test_populations_that_reject_many_words_run(total):
     # these N reject about 1/8 and 1/3 of 64-bit words under a plain modulo;
     # the bounded-integer draw resamples on the chunk's own stream instead
-    ring = urn.two_level_ring([1.0, 2.0], [total // 4, total // 2], total)
-    spec = montecarlo.ring_spec_of(ring)
+    ring = two_level([1.0, 2.0], [total // 4, total // 2], total)
+    spec = ring
     report = montecarlo.compare_to_analytic(montecarlo.run_ensemble(ring, 2**20, seed=1), spec)
     assert report.z_mean is not None and report.z_var is not None
     assert report.tv_distance < 0.01
@@ -496,7 +493,7 @@ def test_z_mean_is_calibrated_across_seeds():
     # moves the spread of z_mean over seeds away from 1, which no single seed
     # can show; the ensembles fit one chunk
     ring = otto_oracle_ring()
-    spec = montecarlo.ring_spec_of(ring)
+    spec = ring
     z = [montecarlo.compare_to_analytic(montecarlo.run_ensemble(ring, 2**14, seed), spec).z_mean
          for seed in range(64)]
     assert abs(np.mean(z)) <= 0.5
@@ -508,7 +505,7 @@ def test_z_mean_is_calibrated_across_chunks():
     # counter c, one Philox block after chunk c - 1) reread each other's words,
     # correlating the chunks' means and widening the spread of z_mean over seeds
     ring = otto_oracle_ring()
-    spec = montecarlo.ring_spec_of(ring)
+    spec = ring
     z = [montecarlo.compare_to_analytic(montecarlo.run_ensemble(ring, 4 * montecarlo._CHUNK, seed), spec).z_mean
          for seed in range(64)]
     assert abs(np.mean(z)) <= 0.5
@@ -555,7 +552,7 @@ def test_prefix_classes_carry_exact_class_mass(population):
     total = sum(population.values())
     ring = _ring([1.0, 2.0], [population, {1.0: total}])
     tables = montecarlo._Tables(ring)
-    counts, bounds = ring.reservoirs[0].counts, tables.bounds[0]
+    counts, bounds = ring.counts[0], tables.bounds[0]
     edges = [Fraction(b, total) for b in bounds]
     prefixes = np.zeros((2, 2**16), dtype=np.uint16)
     prefixes[0] = np.arange(2**16)
@@ -686,7 +683,7 @@ def test_22_reservoir_ring_takes_trial_path():
     assert list(a.histogram.items()) == list(b.histogram.items())
     assert np.array_equal(a.mean_heats, b.mean_heats)
     assert a.conservation_violations == b.conservation_violations == 0
-    report = montecarlo.compare_to_analytic(a, montecarlo.ring_spec_of(ring))
+    report = montecarlo.compare_to_analytic(a, ring)
     assert report.tv_distance is None
     assert report.passed
 
@@ -712,17 +709,17 @@ def test_z_var_is_exact_under_power_of_two_altitudes():
     # every work value, moment and analytic term scales by a power of two, so
     # z_var does not change; 2^300 altitudes overflow d**4 unless it is rescaled
     base = montecarlo.run_ensemble(otto_oracle_ring(), 4000, seed=2)
-    z = montecarlo.compare_to_analytic(base, montecarlo.ring_spec_of(otto_oracle_ring())).z_var
+    z = montecarlo.compare_to_analytic(base, otto_oracle_ring()).z_var
     for scale in (2.0**-40, 2.0**300):
-        ring = urn.two_level_ring([scale, 2.0 * scale], [2, 3], 10)
+        ring = two_level([scale, 2.0 * scale], [2, 3], 10)
         stats = montecarlo.run_ensemble(ring, 4000, seed=2)
         assert stats.var_work == base.var_work * scale * scale
-        assert montecarlo.compare_to_analytic(stats, montecarlo.ring_spec_of(ring)).z_var == z
+        assert montecarlo.compare_to_analytic(stats, ring).z_var == z
 
 
 def test_tv_enumeration_follows_the_code_limit(monkeypatch):
-    ring = urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9)
-    spec = montecarlo.ring_spec_of(ring)
+    ring = two_level([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9)
+    spec = ring
     stats = montecarlo.run_ensemble(ring, 3000, seed=9)
     assert montecarlo.compare_to_analytic(stats, spec).tv_distance is not None
     monkeypatch.setattr(montecarlo, "_CODES", 8)  # fewer than the ring's 2^4 outcomes
@@ -735,16 +732,16 @@ def test_tv_enumeration_counts_the_law_codes():
     rng = np.random.default_rng(8)
     excited = rng.integers(50, 400, 22)
     excited[[3, 15]] = 0, 1000
-    ring = urn.two_level_ring(_altitudes(rng, 22), excited, 1000)
+    ring = two_level(_altitudes(rng, 22), excited, 1000)
     stats = montecarlo.run_ensemble(ring, 20_000, seed=6)
-    report = montecarlo.compare_to_analytic(stats, montecarlo.ring_spec_of(ring))
+    report = montecarlo.compare_to_analytic(stats, ring)
     assert 0.0 < report.tv_distance < 1.0
     assert report.passed
 
 
 def test_tv_distance_matches_dict_reference():
-    ring = urn.two_level_ring([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9)
-    spec = montecarlo.ring_spec_of(ring)
+    ring = two_level([0.7, 1.3, 3.1, 2.9], [3, 4, 6, 2], 9)
+    spec = ring
     stats = montecarlo.run_ensemble(ring, 30_000, seed=9)
     # a key outside the enumerated support counts in full
     foreign = dataclasses.replace(stats, histogram={**stats.histogram, 123.25: 100}, trials=30_100)
@@ -758,7 +755,7 @@ def test_tv_distance_matches_dict_reference():
 
 
 def test_largest_int64_population_runs():
-    ring = urn.two_level_ring([1.0, 2.0], [2**61, 2**62], 2**63 - 1)
+    ring = two_level([1.0, 2.0], [2**61, 2**62], 2**63 - 1)
     stats = montecarlo.run_ensemble(ring, 1000, seed=3)
     assert stats.trials == 1000 and stats.conservation_violations == 0
 
@@ -766,4 +763,4 @@ def test_largest_int64_population_runs():
 @pytest.mark.parametrize("total", [2**63, 2**64 + 5])
 def test_population_beyond_int64_is_a_domain_error(total):
     with pytest.raises(ValueError, match="invalid population"):
-        urn.two_level_ring([1.0, 2.0], [2, 3], total)
+        two_level([1.0, 2.0], [2, 3], total)

@@ -1,5 +1,6 @@
-"""Reservoirs, rings, single-cycle exchange."""
+"""Rings of weighted balls, single-cycle exchange."""
 
+import dataclasses
 import itertools
 import math
 
@@ -9,87 +10,85 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exchange_oracle import exchange_step
-from urnengine import montecarlo, urn
+from rings import two_level
+from urnengine import analytic, montecarlo
+
+from_populations = analytic.RingSpec.from_populations
 
 
 def test_make_reservoir_basic():
-    r = urn.make_reservoir(1.0, {0.0: 7, 1.0: 3}, urn.Group.LOW)
-    assert r.total == 10
-    assert list(r.weights) == [0.0, 1.0] and list(r.counts) == [7, 3]
-    assert list(r.cumulative_counts) == [7, 10]
-    assert r.is_two_level
+    spec = from_populations([1.0, 2.0], [{0.0: 7, 1.0: 3}, {1.0: 10}])
+    assert spec.total == 10
+    assert spec.laws[0] == ((0.0, 1.0), (0.7, 0.3)) and spec.counts == ((7, 3), (10,))
+    assert montecarlo._Tables(spec).bounds == [[7], []]
+    assert spec.two_level
 
 
 def test_make_reservoir_drops_zero_counts_and_sorts():
-    r = urn.make_reservoir(2.0, {5.0: 2, 1.0: 0, 3.0: 1}, urn.Group.HIGH)
-    assert list(r.weights) == [3.0, 5.0]
-    assert list(r.counts) == [1, 2]
+    spec = from_populations([2.0, 1.0], [{5.0: 2, 1.0: 0, 3.0: 1}, {2.5: 3}])
+    assert spec.laws[0][0] == (3.0, 5.0)
+    assert spec.counts[0] == (1, 2)
 
 
 def test_make_reservoir_validation():
     with pytest.raises(ValueError, match="invalid altitude"):
-        urn.make_reservoir(0.0, {1.0: 1}, urn.Group.LOW)
-    with pytest.raises(ValueError, match="empty reservoir"):
-        urn.make_reservoir(1.0, {}, urn.Group.LOW)
-    with pytest.raises(ValueError, match="empty reservoir"):
-        urn.make_reservoir(1.0, {1.0: 0}, urn.Group.LOW)
-    with pytest.raises(ValueError, match="invalid population"):
-        urn.make_reservoir(1.0, {1.0: -2}, urn.Group.LOW)
-    with pytest.raises(ValueError, match="invalid population"):
-        urn.make_reservoir(1.0, {float("nan"): 2}, urn.Group.LOW)
+        from_populations([0.0, 2.0], [{1.0: 1}, {1.0: 1}])
+    for population, message in [({}, "empty reservoir"), ({1.0: 0}, "empty reservoir"),
+                                ({1.0: -2}, "invalid population"), ({1.0: 2.5}, "invalid population"),
+                                ({float("nan"): 2}, "invalid population"), ({-1.0: 2}, "invalid population"),
+                                ({1.0: math.nan}, "invalid population"), ({1.0: math.inf}, "invalid population")]:
+        with pytest.raises(ValueError, match=message):
+            from_populations([1.0, 2.0], [population, {1.0: 2}])
 
 
 def test_population_total_must_fit_int64():
-    assert urn.make_reservoir(1.0, {0.0: 2**62, 1.0: 2**62 - 1}, urn.Group.LOW).total == 2**63 - 1
+    largest = {0.0: 2**62, 1.0: 2**62 - 1}
+    assert from_populations([1.0, 2.0], [largest, largest]).total == 2**63 - 1
     for population in ({0.0: 2**62, 1.0: 2**62}, {1.0: 2**63}, {1.0: 2**64 + 5}):
         with pytest.raises(ValueError, match="invalid population"):
-            urn.make_reservoir(1.0, population, urn.Group.LOW)
+            from_populations([1.0, 2.0], [population, population])
 
 
 def test_reservoir_arrays_frozen():
-    r = urn.make_reservoir(1.0, {0.0: 2, 1.0: 2}, urn.Group.LOW)
+    spec = from_populations([1.0, 2.0], [{0.0: 2, 1.0: 2}, {1.0: 4}])
     with pytest.raises(ValueError):
-        r.weights[0] = 9.0
+        spec.altitudes[0] = 9.0
+    with pytest.raises(TypeError):
+        spec.counts[0][0] = 9  # type: ignore[index]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.total = 5  # type: ignore[misc]
 
 
 def test_two_level_ring_shape():
-    ring = urn.two_level_ring([1.0, 2.0], [2, 3], 10)
-    assert ring.m == 1
-    assert ring.total == 10
-    assert list(ring.altitudes) == [1.0, 2.0]
-    assert ring.reservoirs[0].group is urn.Group.LOW
-    assert ring.reservoirs[1].group is urn.Group.HIGH
+    spec = two_level([1.0, 2.0], [2, 3], 10)
+    assert spec.m == 1
+    assert spec.total == 10
+    assert list(spec.altitudes) == [1.0, 2.0]
+    assert spec.counts == ((8, 2), (7, 3))
 
 
 def test_two_level_ring_validation():
     with pytest.raises(ValueError, match="equal length"):
-        urn.two_level_ring([1.0, 2.0], [2], 10)
+        from_populations([1.0, 2.0], [{0.0: 8, 1.0: 2}])
     with pytest.raises(ValueError, match="ring must hold"):
-        urn.two_level_ring([1.0, 2.0, 3.0], [2, 3, 4], 10)
+        two_level([1.0, 2.0, 3.0], [2, 3, 4], 10)
     for excited in ([-1, 3], [2, 11]):
         with pytest.raises(ValueError, match="invalid population"):
-            urn.two_level_ring([1.0, 2.0], excited, 10)
+            two_level([1.0, 2.0], excited, 10)
 
 
 def test_ring_validation():
-    r1 = urn.make_reservoir(1.0, {0.0: 5, 1.0: 5}, urn.Group.LOW)
     with pytest.raises(ValueError, match="ring must hold"):
-        urn.EngineRing(reservoirs=(r1,))
-    r2 = urn.make_reservoir(2.0, {0.0: 4, 1.0: 5}, urn.Group.HIGH)
+        from_populations([1.0], [{0.0: 5, 1.0: 5}])
     with pytest.raises(ValueError, match="same number of balls"):
-        urn.EngineRing(reservoirs=(r1, r2))
-    r3 = urn.make_reservoir(2.0, {0.0: 5, 1.0: 5}, urn.Group.LOW)
-    with pytest.raises(ValueError, match="m low reservoirs then m high"):
-        urn.EngineRing(reservoirs=(r1, r3))
+        from_populations([1.0, 2.0], [{0.0: 5, 1.0: 5}, {0.0: 4, 1.0: 5}])
 
 
 def test_draw_ball_class_boundaries():
     # a draw U below 7/10 has weight 0 and from 7/10 on weight 1, on both Monte
     # Carlo paths: its 16-bit prefix u decides, but for u = floor(0.7 2^16) =
     # 45875, whose next word decides
-    low = urn.make_reservoir(1.0, {0.0: 7, 1.0: 3}, urn.Group.LOW)
-    high = urn.make_reservoir(2.0, {1.0: 10}, urn.Group.HIGH)
-    tables = montecarlo._Tables(urn.EngineRing(reservoirs=(low, high)))
+    tables = montecarlo._Tables(from_populations([1.0, 2.0], [{0.0: 7, 1.0: 3}, {1.0: 10}]))
     for prefix, words, weight_class in [(0, [], 0), (45874, [], 0), (45875, [0], 0),
                                         (45875, [2**64 - 1], 1), (45876, [], 1), (65535, [], 1)]:
         source = iter(words)
