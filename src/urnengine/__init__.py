@@ -1,8 +1,8 @@
 """Urn-model heat engines: exact statistics, Monte Carlo, and frontiers.
 
-Balls carrying 0/1 weights are drawn from stacked two-level reservoirs and
-shifted around a ring of altitudes; the net potential-energy change per cycle
-is the work.  This package computes the exact mean/variance of that work, the
+Balls of non-negative weights (0/1 for two-level agents) are drawn from a
+ring of reservoirs at fixed altitudes and each carried one step around it;
+the net potential-energy change per cycle is the work.  This package computes the exact mean/variance of that work, the
 per-reservoir heats, the continuum (Carnot) limit, and the attainable
 efficiency-versus-work region, and validates the closed forms by simulation.
 All quantities are in reduced units with k_B = 1.

@@ -203,16 +203,26 @@ def mean_heats_ring(spec: RingSpec) -> tuple[float, float, float]:
     return heats
 
 
+def _ring_sum(coeffs: np.ndarray, values: np.ndarray) -> float:
+    """sum_k coeffs[k] * values[k], added in ring order from 0.0 as a trial
+    adds its work, so no BLAS kernel's order or fused multiply-add enters."""
+    total = 0.0
+    for c, x in zip(coeffs.tolist(), values.tolist()):
+        total += c * x
+    return total
+
+
 def work_statistics_ring(spec: RingSpec) -> WorkStatistics:
     """Exact mean and variance of one cycle's work, for any weight laws:
     draws are independent across reservoirs, so Var(W) = sum_k
-    (eps_k - eps_{k+1})^2 Var(w_k).  A mean within 1e-12 sum_k |d_k mu_k| of
-    0 is rounding residue, as in the conservation audit, and has no ratio."""
+    (eps_k - eps_{k+1})^2 Var(w_k), each sum added in ring order.  A mean
+    within 1e-12 sum_k |d_k mu_k| of 0 is rounding residue, as in the
+    conservation audit, and has no ratio."""
     d = spec.altitudes - np.roll(spec.altitudes, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(d @ spec.mean_weights)
+        mean = _ring_sum(d, spec.mean_weights)
         scale = float(np.abs(d * spec.mean_weights).sum())
-        variance = float((d * d) @ spec.cumulants[0])
+        variance = _ring_sum(d * d, spec.cumulants[0])
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise ValueError("work statistics too large for a float")
     ratio = variance / mean if abs(mean) > 1e-12 * scale else None

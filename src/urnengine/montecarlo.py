@@ -28,10 +28,10 @@ read further words of the chunk's stream (see _classes).  Memory is bounded
 by the prefixes and classes of each chunk in flight; the trial path holds
 drawn weights _BLOCK trials at a time, and no result depends on _BLOCK.
 
-A trial's work is accumulated in ring order, W = ((d_0 w_0 + d_1 w_1) + ...)
-with d_k = eps_k - eps_{k+1}, and the heat into reservoir k is
-eps_k (w_{k-1} - w_k); so the per-trial work values land on exactly the same
-floats as the exact enumeration of exact_work_distribution.
+A trial's work is accumulated in ring order from 0.0, W = ((d_0 w_0 + d_1 w_1)
++ ...) with d_k = eps_k - eps_{k+1}, beside its heats eps_k (w_{k-1} - w_k);
+so work values are the floats of exact_work_distribution's enumeration, and a
+deterministic ring's one value is work_statistics_ring's mean, bit for bit.
 
 Rings with prod_k K_k <= 2^20 draw tuples (K_k weight classes at reservoir k;
 2m <= 20 for 0/1 rings) skip per-trial weights: a trial becomes the mixed-radix
@@ -52,7 +52,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import _EXPORTS
-from .analytic import RingSpec, _checked_seed, mean_heats_ring, work_statistics_ring
+from .analytic import RingSpec, _checked_seed, _ring_sum, work_statistics_ring
 
 __all__ = _EXPORTS["montecarlo"]
 
@@ -185,24 +185,21 @@ def _classes(tables: _Tables, key: int, lo: int, hi: int) -> np.ndarray:
 
 def _work_audit(tables: _Tables, column):
     """Work and conservation-audit verdict per row from ``column(k)``, the
-    drawn weights of reservoir k, summed in ring order.  The audit bounds
-    the residual by its summands, not by |W|: with equal draws the heats
-    are 0 and W is rounding residue."""
-    work = np.zeros_like(column(0))
-    scale = np.zeros_like(work)
+    drawn weights of reservoir k, each read once after the last; work and
+    heats add in ring order side by side.  The residual W + sum_k Q_k is bounded
+    by its summands, not by |W|: equal draws give 0 heats and a residue W."""
+    before = column(len(tables.eps) - 1)
+    work, heats, scale = np.zeros_like(before), np.zeros_like(before), np.zeros_like(before)
     for k in range(len(tables.eps)):
         drawn = column(k)
         term = tables.deltas[k] * drawn
         work += term
         scale += np.abs(term, out=term)
-    residual = work.copy()
-    for k in range(len(tables.eps)):  # drawn holds column k - 1: each column is decoded twice
-        current = column(k)
-        q = tables.eps[k] * (drawn - current)
-        residual += q
+        q = tables.eps[k] * (before - drawn)
+        heats += q
         scale += np.abs(q, out=q)
-        drawn = current
-    return work, np.abs(residual) > 1e-12 * scale
+        before = drawn
+    return work, np.abs(work + heats) > 1e-12 * scale
 
 
 def _enumerable(weights) -> bool:
@@ -374,17 +371,19 @@ def exact_work_distribution(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
 def compare_to_analytic(stats: EnsembleStats, spec: RingSpec) -> ComparisonReport:
     """Statistical agreement between an ensemble and the analytic model.
 
-    z_mean uses the run's own standard error.  For 0/1 rings, z_var uses the
-    exact sampling variance of the sample variance (via the fourth cumulant
-    of the work), and when the ring's draw codes fit the enumeration limit
-    the exact-key histogram is compared to the enumerated distribution by
-    total-variation distance.  Deterministic rings (all f in {0,1}, or no
-    altitude gap) have no defined z-scores; they report an exact_match flag
-    instead.  A work variance that underflows a float is a domain error.
+    analytic_mean is ``work_statistics_ring(spec).mean``, the ring-order sum
+    a trial's work adds, and z_mean uses the run's own standard error.  For
+    0/1 rings, z_var uses the exact sampling variance of the sample variance
+    (via the fourth cumulant of the work), and when the ring's draw codes fit
+    the enumeration limit the exact-key histogram is compared to the
+    enumerated distribution by total-variation distance.  A deterministic
+    ring (one weight per reservoir, or no altitude gap) has no defined
+    z-scores; its exact_match holds when every trial drew that mean.  A 0/1
+    work variance that underflows a float is a domain error.
     """
     if len(stats.mean_heats) != len(spec.altitudes):
         raise ValueError("spec/stats mismatch")
-    analytic_mean = mean_heats_ring(spec)[2]
+    ws = work_statistics_ring(spec)
     n = stats.trials
 
     analytic_variance: float | None = None
@@ -392,27 +391,23 @@ def compare_to_analytic(stats: EnsembleStats, spec: RingSpec) -> ComparisonRepor
     exact_match: bool | None = None
     tv: float | None = None
 
+    var_w, kappa4_w = spec.cumulants
+    d = spec.altitudes - np.roll(spec.altitudes, -1)
+    # a power of two scales max |d_k| into [0.5, 1): exact, so the scaled
+    # variance cannot underflow, and d**4 and variance**2 cannot overflow
+    e = -math.frexp(float(np.abs(d).max()))[1]
+    d = np.ldexp(d, e)
+    if not _ring_sum(d * d, var_w) > 0.0:  # one weight per reservoir, or no altitude gap
+        exact_match = stats.histogram == {ws.mean: n}
+    elif spec.two_level and ws.variance == 0.0:  # underflowed, and the sample variance with it
+        raise ValueError("work variance too small for a float")
+    elif spec.two_level and n > 1:
+        var = math.ldexp(ws.variance, 2 * e)
+        mu4 = _ring_sum(d**4, kappa4_w) + 3.0 * var**2
+        se_var = math.sqrt((mu4 - var**2 * (n - 3) / (n - 1)) / n)
+        z_var = (math.ldexp(stats.var_work, 2 * e) - var) / se_var
     if spec.two_level:
-        ws = work_statistics_ring(spec)
-        analytic_mean = ws.mean  # single-sum form, comparable for exact_match
         analytic_variance = ws.variance
-        eps = spec.altitudes
-        var_w, kappa4_w = spec.cumulants
-        d = eps - np.roll(eps, -1)
-        # a power of two scales max |d_k| into [0.5, 1): exact, so the scaled
-        # variance cannot underflow, and d**4 and variance**2 cannot overflow
-        e = -math.frexp(float(np.abs(d).max()))[1]
-        d = np.ldexp(d, e)
-        if not float((d * d) @ var_w) > 0.0:  # every f_k is 0 or 1, or no altitude gap
-            exact_match = stats.var_work == 0.0 and stats.mean_work == ws.mean
-        elif ws.variance == 0.0:  # underflowed, and the sample variance with it
-            raise ValueError("work variance too small for a float")
-        elif n > 1:
-            var = math.ldexp(ws.variance, 2 * e)
-            kappa4 = float((d**4) @ kappa4_w)
-            mu4 = kappa4 + 3.0 * var**2
-            se_var = math.sqrt((mu4 - var**2 * (n - 3) / (n - 1)) / n)
-            z_var = (math.ldexp(stats.var_work, 2 * e) - var) / se_var
         if _enumerable([v for v, _ in spec.laws]) and stats.bin_width is None:
             values, probs = exact_work_distribution(spec)
             keys = np.fromiter(stats.histogram, dtype=float, count=len(stats.histogram))
@@ -425,17 +420,12 @@ def compare_to_analytic(stats: EnsembleStats, spec: RingSpec) -> ComparisonRepor
             tv = 0.5 * float(np.abs(freq - expected).sum() + probs[unseen].sum())
 
     z_mean: float | None = None
-    if stats.stderr_work > 0.0:
-        z_mean = (stats.mean_work - analytic_mean) / stats.stderr_work
+    if exact_match is None and stats.stderr_work > 0.0:
+        z_mean = (stats.mean_work - ws.mean) / stats.stderr_work
 
-    passed = True
-    for z in (z_mean, z_var):
-        if z is not None and not abs(z) < _Z_THRESHOLD:
-            passed = False
-    if exact_match is False:
-        passed = False
+    passed = exact_match is not False and all(z is None or abs(z) < _Z_THRESHOLD for z in (z_mean, z_var))
     return ComparisonReport(
-        analytic_mean=analytic_mean,
+        analytic_mean=ws.mean,
         analytic_variance=analytic_variance,
         z_mean=z_mean,
         z_var=z_var,

@@ -12,18 +12,18 @@ def exchange_step(altitudes, drawn):
     The ball moves from eps_k to eps_{k+1}, so the work is the ring-order sum
     W = ((eps_0 - eps_1) w_0 + (eps_1 - eps_2) w_1) + ... and reservoir k
     gains eps_k (w_{k-1} - w_k).  Energy is conserved, W + sum_k Q_k = 0; the
-    verdict is True when that residual, summed left to right from W, exceeds
-    1e-12 times the summed magnitudes of its terms.
+    heats add in ring order beside the work, and the verdict is True when
+    W plus their sum exceeds 1e-12 times the summed magnitudes of all terms.
     """
     n = len(drawn)
-    work = scale = 0.0
+    work = heat = scale = 0.0
+    heats = []
     for k in range(n):
         term = (altitudes[k] - altitudes[(k + 1) % n]) * drawn[k]
+        q = altitudes[k] * (drawn[k - 1] - drawn[k])
         work += term
         scale += abs(term)
-    heats = [altitudes[k] * (drawn[k - 1] - drawn[k]) for k in range(n)]
-    residual = work
-    for q in heats:
-        residual += q
+        heat += q
         scale += abs(q)
-    return work, heats, abs(residual) > 1e-12 * scale
+        heats.append(q)
+    return work, heats, abs(work + heat) > 1e-12 * scale

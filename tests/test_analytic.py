@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantum_oracle import otto_work_law
 from rings import two_level
 from urnengine import analytic, montecarlo, thermo
 
@@ -265,6 +266,71 @@ def test_mixed_work_statistics_match_the_enumeration():
     assert abs(ws.mean - mean) <= 1e-12
     assert abs(ws.variance - float(((values - mean) ** 2) @ probs)) <= 1e-12
     assert ws.mean == pytest.approx(analytic.mean_heats_ring(MIXED)[2], abs=1e-14)
+
+
+def _ring_order_sum(coeffs, values):
+    total = 0.0
+    for c, x in zip(coeffs.tolist(), values.tolist()):
+        total += c * x
+    return total
+
+
+def _seeded_ring(n, seed, mixed):
+    """0/1 ring of random occupancies, or one of random 0/1/2.5 laws."""
+    rng = np.random.default_rng(seed)
+    eps = rng.uniform(0.1, 3.0, n)
+    if not mixed:
+        return ring(eps, rng.uniform(0.0, 1.0, n))
+    laws = []
+    for _ in range(n):
+        p = rng.uniform(0.1, 1.0, 3)
+        laws.append(((0.0, 1.0, 2.5), tuple((p / p.sum()).tolist())))
+    return analytic.RingSpec(eps, laws)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["0/1", "mixed"])
+@pytest.mark.parametrize("n", [2, 4, 16, 18, 32, 64])
+def test_work_statistics_add_in_ring_order(n, mixed):
+    # the closed forms add d_k x_k from 0.0 in ring order, the order a trial
+    # adds its work; a BLAS dot product reorders the sum or fuses its steps
+    for spec in (_seeded_ring(n, seed, mixed) for seed in range(5)):
+        d = spec.altitudes - np.roll(spec.altitudes, -1)
+        ws = analytic.work_statistics_ring(spec)
+        assert ws.mean == _ring_order_sum(d, spec.mean_weights)
+        assert ws.variance == _ring_order_sum(d * d, spec.cumulants[0])
+
+
+def test_equal_weight_ring_mean_is_the_ring_order_sum():
+    # the simulate_equal_weights golden ring: W = 0.9 sum_k d_k is rounding residue
+    spec = two_level([0.1, 0.2, 0.7, 0.3], [9, 9, 9, 9], 10)
+    assert analytic.work_statistics_ring(spec).mean == 5.551115123125783e-17
+
+
+@pytest.mark.parametrize("beta_l, beta_h, eps_l, eps_h", [
+    (1.38, 0.42, 1.0, 2.0), (2.0, 0.5, 0.3, 1.7), (0.9, -0.4, 1.2, 2.6),
+])
+def test_quantum_otto_oracle_matches_the_m1_ring(beta_l, beta_h, eps_l, eps_h):
+    # two-point-measurement work of a two-level Otto cycle with adiabatic
+    # strokes is the thermal m = 1 ring's work law
+    support, probs = otto_work_law(beta_l, beta_h, eps_l, eps_h)
+    spec = analytic.equilibrium_ring(beta_l, beta_h, [eps_l], [eps_h])
+    values, expected = montecarlo.exact_work_distribution(spec)
+    assert support.tolist() == values.tolist()
+    assert np.abs(probs - expected).max() <= 1e-15
+    ws = analytic.work_statistics_ring(spec)
+    mean = float(np.sum(support * probs))
+    assert mean == pytest.approx(ws.mean, rel=1e-12)
+    assert float(np.sum((support - mean) ** 2 * probs)) == pytest.approx(ws.variance, rel=1e-12)
+
+
+def test_quantum_mixing_stroke_leaves_the_ring():
+    # a stroke that rotates the levels by 0.3 rad is not the urn exchange:
+    # its extra transitions turn the engine's mean work negative
+    ws = analytic.work_statistics_ring(analytic.equilibrium_ring(1.38, 0.42, [1.0], [2.0]))
+    support, probs = otto_work_law(1.38, 0.42, 1.0, 2.0, theta=0.3)
+    assert ws.mean == pytest.approx(0.1005, abs=1e-4)
+    assert float(np.sum(support * probs)) == pytest.approx(-0.0386, abs=1e-4)
+    assert len(support) == 7
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

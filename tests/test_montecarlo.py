@@ -183,6 +183,42 @@ def test_deterministic_ring_reports_exact_match():
     assert report.passed
 
 
+PINNED_RINGS = {
+    "2m=2": ([0.1, 0.7], [10, 0]),
+    "2m=4": ([1.1, 1.3, 2.9, 2.3], [10, 0, 0, 10]),
+    # one work value each: rounding residue (-3.3e-16) at 2m = 16, -0.9000000000000001 at 2m = 18
+    "2m=16": ([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.6, 1.5, 1.4, 1.3, 1.2, 1.1, 1.0, 0.9], [10, 0] * 8),
+    "2m=18": ([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.8, 1.7, 1.6, 1.5, 1.4, 1.3, 1.2, 1.1, 1.0],
+              [10, 0] * 9),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 3, 100, 20_000, 5 * 16384 + 123])
+@pytest.mark.parametrize("eps, excited", PINNED_RINGS.values(), ids=PINNED_RINGS.keys())
+def test_pinned_ring_draws_the_analytic_mean(eps, excited, trials):
+    # every trial draws the one work value, the ring-order sum of the closed
+    # form; the ensemble mean of n equal floats need not be that value
+    ring = two_level(eps, excited, 10)
+    mean = analytic.work_statistics_ring(ring).mean
+    for workers in (1, 2):
+        stats = montecarlo.run_ensemble(ring, trials, seed=1, workers=workers)
+        assert [k.hex() for k in stats.histogram] == [mean.hex()]
+        report = montecarlo.compare_to_analytic(stats, ring)
+        assert report.exact_match is True and report.passed
+        assert report.z_mean is None and report.analytic_mean == mean
+
+
+def test_single_class_ring_reports_exact_match():
+    # one weight per reservoir, not 0/1: as deterministic as a pinned 0/1 ring
+    ring = analytic.RingSpec.from_populations([0.1, 0.2, 0.7, 0.3], [{2.5: 4}, {1.0: 4}, {2.5: 4}, {0.0: 4}])
+    stats = montecarlo.run_ensemble(ring, 20_000, seed=1)
+    report = montecarlo.compare_to_analytic(stats, ring)
+    assert report.exact_match is True and report.passed and report.z_mean is None
+    wrong = analytic.RingSpec.from_populations([0.1, 0.2, 0.7, 0.3], [{2.5: 4}, {2.5: 4}, {2.5: 4}, {0.0: 4}])
+    report = montecarlo.compare_to_analytic(stats, wrong)
+    assert report.exact_match is False and not report.passed
+
+
 def test_wrong_spec_fails_the_comparison():
     stats = montecarlo.run_ensemble(otto_oracle_ring(), 20_000, seed=3)
     # a mean off by 0.3 at the run's standard error
@@ -405,6 +441,20 @@ def test_code_audit_decodes_each_column_twice(monkeypatch):
     again, violations_again = montecarlo._code_summary(tables, dataclasses.replace(part))
     assert len(calls) <= 2 * 8 + 1
     assert np.array_equal(again, hist) and violations_again == violations
+
+
+def test_work_audit_reads_each_column_once():
+    # every draw weighs 2.5: the heats are 0 and the work is rounding residue,
+    # so each verdict rests on the audit's scale
+    eps = [0.1, 0.2, 0.7, 0.3, 1.9, 1.7]
+    tables = montecarlo._Tables(_ring(eps, [{2.5: 3}] * 6))
+    drawn = np.full((6, 5), 2.5)
+    calls = []
+    work, bad = montecarlo._work_audit(tables, lambda k: calls.append(k) or drawn[k])
+    assert calls == [5, 0, 1, 2, 3, 4, 5]
+    trials = [exchange_step(eps, row) for row in drawn.T.tolist()]
+    assert work.tolist() == [w for w, _, _ in trials] and work[0] != 0.0
+    assert bad.tolist() == [v for _, _, v in trials] == [False] * 5
 
 
 def test_code_audit_counts_the_trials_the_trial_audit_counts():
