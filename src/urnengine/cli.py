@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 domain error (structured JSON message on stderr),
 2 usage error (argparse: a missing or unknown flag).  Each input has one
 spelling: ``simulate`` takes the ring (``--eps``/``--n``), ``analytic ring``
 the excited fractions (``--f``), ``continuum heats|reversible`` reduced
-endpoints (beta*eps).  Reduced units (k_B = 1) are the only unit system.
+endpoints (beta*eps), ``frontier`` its work targets (``--target-w``: one W or
+start:stop:count).  Reduced units (k_B = 1) are the only unit system.
 """
 
 from __future__ import annotations
@@ -62,15 +63,17 @@ def _int_list(text: str) -> list[int]:
 
 
 def _grid(text: str) -> list[float]:
-    """Parse start:stop:count into an inclusive linear grid."""
+    """Parse one value, or start:stop:count into an inclusive linear grid."""
     import numpy as np
     parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"grid must be start:stop:count, got {text!r}")
+    if len(parts) not in (1, 3):
+        raise argparse.ArgumentTypeError(f"not a value or start:stop:count: {text!r}")
     try:
+        if len(parts) == 1:
+            return [float(text)]
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"grid must be start:stop:count, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a value or start:stop:count: {text!r}") from exc
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
     return np.linspace(start, stop, count).tolist()
@@ -301,22 +304,19 @@ _FRONTIER_COLUMNS = [
 
 def _handle_frontier(args: argparse.Namespace) -> CommandResult:
     from . import frontier
-    if (args.target_w is None) == (args.w_grid is None):
-        raise ValueError("need exactly one of --target-w or --w-grid")
-    targets = [args.target_w] if args.target_w is not None else args.w_grid
     tol_w = frontier.DEFAULT_TOL_W if args.tol_w is None else args.tol_w
     budget = frontier.DEFAULT_BUDGET if args.budget is None else args.budget
     starts = frontier.DEFAULT_STARTS if args.starts is None else args.starts
     inputs = {
         "m": "carnot" if args.m is None else args.m,
         "beta_l": args.beta_l, "beta_h": args.beta_h,
-        "mode": args.mode, "target_W": [float(t) for t in targets],
+        "mode": args.mode, "target_W": args.target_w,
         "tol_w": tol_w, "budget": budget, "starts": starts,
-        "seed": args.seed, "init_extent": args.init_extent,
+        "seed": args.seed,
     }
     points = frontier.frontier_curve(
-        args.m, args.beta_l, args.beta_h, targets, frontier.Mode(args.mode),
-        tol_w, budget, starts, args.seed, args.init_extent,
+        args.m, args.beta_l, args.beta_h, args.target_w, frontier.Mode(args.mode),
+        tol_w, budget, starts, args.seed,
     )
     fields = ("target_work", "work", "eta", "residual", "evaluations", "start_index", "config")
     cells = [[v] * len(points) for v in (inputs["m"], args.beta_l, args.beta_h, args.mode)]
@@ -395,11 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     _command(sub, "frontier", "extremal efficiency at fixed work", _handle_frontier,
              m={"type": _ring_m, "required": True, "help": "sub-reservoirs per side, or 'carnot'"},
-             beta_l=float, beta_h=float, target_w=opt_float,
-             w_grid={"type": _grid, "help": "start:stop:count"},
+             beta_l=float, beta_h=float,
+             target_w={"type": _grid, "required": True, "help": "one W, or start:stop:count"},
              mode={"choices": ("max", "min"), "default": "max"},
              tol_w=opt_float, budget=opt_int, starts=opt_int,
-             seed={"type": int, "default": 0}, init_extent=opt_float)
+             seed={"type": int, "default": 0})
     _command(sub, "region", "scatter-sample the attainable (W, eta) region", _handle_region,
              m=int, beta_l=float, beta_h=float, samples=int, eps_max=float,
              seed={"type": int, "default": 0})

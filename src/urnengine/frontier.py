@@ -11,13 +11,14 @@ _ring_problem and _carnot_problem).  Elsewhere it runs multistart
 derivative-free coordinate descent on a quadratic penalty objective.
 Gradients are unreliable here: the engine/pump sign regimes and negative-beta
 cases fold the feasible set, while a single objective evaluation is a handful
-of exponentials, so robustness wins over speed.  Fixed schedule: initial step
-= init extent / 8, halve on a sweep without improvement, stop a descent at
-step < 1e-6 or the per-start budget; penalty weight starts at 1e2 and is
-multiplied by 10 (cap 1e12) until the work residual fits tol_W.  Starts are
-seeded deterministically from valid rejection-sampled points, and among
-objectives within 1e-12 of the best the lowest start index wins, so results
-are reproducible for a given seed.
+of exponentials, so robustness wins over speed.  Fixed schedule: starts are
+drawn from the box (0, E]^n, E = 16/min(|beta_l|, |beta_h|) for rings and 20
+for the continuum; initial step = E/8, halve on a sweep without improvement,
+stop a descent at step < 1e-6 or the per-start budget; penalty weight starts
+at 1e2 and is multiplied by 10 (cap 1e12) until the work residual fits tol_W.
+Starts are seeded deterministically from valid rejection-sampled points, and
+among objectives within 1e-12 of the best the lowest start index wins, so
+results are reproducible for a given seed.
 
 Each problem has one evaluator, point(z) -> (W, Q_h).  Finite m takes the
 equilibrium occupancies f(beta*eps) and the ring kernel analytic._ring_heats
@@ -280,15 +281,6 @@ def _multistart(point, public, ndim: int, extent: float, budget: int, starts: in
     return x, w, q_high, si, total_evals
 
 
-def _checked_extent(init_extent: float | None, default: float) -> float:
-    """The start extent: ``default`` unless an ``init_extent`` is given."""
-    extent = default if init_extent is None else init_extent
-    if not (math.isfinite(extent) and extent > 0.0):
-        hint = "" if init_extent is not None else f" (default {extent!r}); set --init-extent"
-        raise ValueError("init_extent must be finite and positive" + hint)
-    return extent
-
-
 def _bisect(pred, lo: float, hi: float, width: float = 0.0) -> tuple[float, float]:
     """Shrink [lo, hi] around the point where ``pred`` turns from false (at lo)
     to true (at hi), down to ``width`` or to adjacent floats."""
@@ -299,7 +291,7 @@ def _bisect(pred, lo: float, hi: float, width: float = 0.0) -> tuple[float, floa
     return lo, hi
 
 
-def _ring_problem(m: int, beta_l: float, beta_h: float, init_extent: float | None):
+def _ring_problem(m: int, beta_l: float, beta_h: float):
     """(point, public, ndim, extent, to_config, exact) of an m-sub-reservoir ring;
     ``point`` takes scalar occupancies, ``public`` the vectorized ones."""
     if m < 1:
@@ -343,12 +335,15 @@ def _ring_problem(m: int, beta_l: float, beta_h: float, init_extent: float | Non
         x = _bisect(lambda x: w_at(r, x) >= target, lo_x, best(r)[0])[1]
         return [r * math.exp(x), math.exp(x)]
 
-    extent = _checked_extent(init_extent, 16.0 / min(abs(bl), abs(bh)))
+    small = min(bl, bh, key=abs)
+    extent = 16.0 / abs(small)
+    if extent == math.inf:
+        raise ValueError(f"beta {small!r} is too small: the start box 16/|beta| overflows")
     exact = exact if m == 1 and (bl < 0.0 < bh or 0.0 < bh < bl) else None
     return point, public, 2 * m, extent, tuple, exact
 
 
-def _carnot_problem(beta_l: float, beta_h: float, init_extent: float | None):
+def _carnot_problem(beta_l: float, beta_h: float):
     """(point, public, ndim, extent, to_config, exact) of the continuum cycle over
     its endpoint magnitudes, signs pinned to the betas; ``to_config`` signs them."""
     bl, bh = _checked_betas(beta_l, beta_h)
@@ -377,7 +372,7 @@ def _carnot_problem(beta_l: float, beta_h: float, init_extent: float | None):
         return [l1, _CARNOT_LM, _CARNOT_LM, l1]
 
     exact = exact if bl > 0.0 and bh > 0.0 else None
-    return point, public, 4, _checked_extent(init_extent, 20.0), to_config, exact
+    return point, public, 4, 20.0, to_config, exact
 
 
 def _check_targets(targets, tol_w: float) -> None:
@@ -449,7 +444,6 @@ def optimize_efficiency(
     budget: int = DEFAULT_BUDGET,
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
-    init_extent: float | None = None,
 ) -> FrontierPoint:
     """Extremal efficiency of an m-sub-reservoir ring at fixed work.
 
@@ -457,7 +451,7 @@ def optimize_efficiency(
     constraint within tolerance, and a domain error for a MAX pump target with
     positive betas, where no maximum exists.
     """
-    problem = _ring_problem(m, beta_l, beta_h, init_extent)
+    problem = _ring_problem(m, beta_l, beta_h)
     _check_targets([target_work], tol_w)
     _check_pump_max(m, beta_l, beta_h, [target_work], mode)
     return _extremize(problem, target_work, mode, tol_w, budget, starts, seed)
@@ -472,7 +466,6 @@ def carnot_frontier(
     budget: int = DEFAULT_BUDGET,
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
-    init_extent: float | None = None,
 ) -> FrontierPoint:
     """Extremal efficiency of the continuum cycle at fixed work.
 
@@ -480,7 +473,7 @@ def carnot_frontier(
     returned config is the signed endpoints (cold_first, cold_last,
     hot_first, hot_last).
     """
-    problem = _carnot_problem(beta_l, beta_h, init_extent)
+    problem = _carnot_problem(beta_l, beta_h)
     _check_targets([target_work], tol_w)
     return _extremize(problem, target_work, mode, tol_w, budget, starts, seed)
 
@@ -492,13 +485,12 @@ def max_work(
     budget: int = DEFAULT_BUDGET,
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
-    init_extent: float | None = None,
 ) -> tuple[float, tuple[float, ...], int]:
     """Unconstrained maximum mean engine work over altitude configurations:
     optimize_efficiency's multistart from valid engine starts, with a plain
     descent on -W.  Returns (work, config, evaluations), work via the public evaluator.
     """
-    point, public, ndim, extent, to_config, _ = _ring_problem(m, beta_l, beta_h, init_extent)
+    point, public, ndim, extent, to_config, _ = _ring_problem(m, beta_l, beta_h)
     if beta_h < 0.0:  # f(beta_h*eps) -> 1 as a hot altitude grows, and W with it
         raise ValueError("max_work is unbounded for beta_h < 0")
     if m == 1 and beta_l < 0.0:  # f_l > 1/2 > f_h: the hot side always absorbs
@@ -526,7 +518,6 @@ def frontier_curve(
     budget: int = DEFAULT_BUDGET,
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
-    init_extent: float | None = None,
 ) -> list[FrontierPoint]:
     """Frontier points over a grid of work targets.
 
@@ -535,8 +526,7 @@ def frontier_curve(
     target is checked, including optimize_efficiency's pump domain error,
     before the first solve.
     """
-    problem = (_carnot_problem(beta_l, beta_h, init_extent) if m is None
-               else _ring_problem(m, beta_l, beta_h, init_extent))
+    problem = _carnot_problem(beta_l, beta_h) if m is None else _ring_problem(m, beta_l, beta_h)
     _check_targets(targets, tol_w)
     _check_pump_max(m, beta_l, beta_h, targets, mode)
     children = np.random.SeedSequence(_checked_seed(seed)).spawn(len(targets))

@@ -159,7 +159,7 @@ def test_maximum_work_and_entropy_limits():
     grid = np.linspace(0.01, 12.0, 401)
     el, eh = np.meshgrid(grid, grid, indexing="ij")
     gw, _, _ = frontier.evaluate_configs(1.38, 0.42, np.column_stack([el.ravel(), eh.ravel()]))
-    w_grid = float(np.max(gw))
+    w_scan = float(np.max(gw))
     sup_gaps = [
         abs(thermo.entropy_equally_spaced(1e-4, levels) - math.log(levels))
         for levels in (2, 3, 5)
@@ -167,14 +167,14 @@ def test_maximum_work_and_entropy_limits():
     ok = (
         wmax == pytest.approx(1.149, abs=1e-3)
         and w_otto == pytest.approx(0.20, abs=4e-3)
-        and abs(w_otto - w_grid) / w_grid < 0.01
+        and abs(w_otto - w_scan) / w_scan < 0.01
         and max(sup_gaps) < 1e-6
         and evals > 0
     )
     _report(
         "maximum work and entropy limits",
         ok,
-        f"W_max={wmax:.6f} W_otto={w_otto:.6f} grid={w_grid:.6f} "
+        f"W_max={wmax:.6f} W_otto={w_otto:.6f} grid={w_scan:.6f} "
         f"sup_gap={max(sup_gaps):.1e}",
     )
 

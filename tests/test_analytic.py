@@ -1,5 +1,6 @@
 """Closed-form means, variances, efficiencies."""
 
+import itertools
 import math
 
 import numpy as np
@@ -351,3 +352,40 @@ def test_integral_fluctuation_relation_by_enumeration(m, beta_l, beta_h):
     assert p @ q[:, :m].sum(axis=1) == pytest.approx(q_low, abs=1e-12)
     assert p @ q[:, m:].sum(axis=1) == pytest.approx(q_high, abs=1e-12)
     assert abs(p @ np.exp(-(q @ beta)) - 1.0) <= 1e-12
+
+
+def _mean_exp_minus_sigma(spec, beta_l, beta_h):
+    """E[exp(-sigma)] over every draw of ``spec.laws``, with sigma = sum_k
+    x_k (w_{k-1} - w_k) and x_k = beta_k eps_k."""
+    x = (np.repeat([beta_l, beta_h], spec.m) * spec.altitudes).tolist()
+    terms = []
+    for draw in itertools.product(*(zip(*law) for law in spec.laws)):
+        w, p = zip(*draw)
+        terms.append(math.prod(p) * math.exp(-sum(xk * (w[k - 1] - w[k]) for k, xk in enumerate(x))))
+    return math.fsum(terms)
+
+
+def _gibbs_ring(beta_l, beta_h, eps, values, degeneracy):
+    """Ring whose reservoir k draws weight w_c with probability g_c exp(-x_k w_c)/Z(x_k)."""
+    laws = []
+    for x in np.repeat([beta_l, beta_h], len(eps) // 2) * eps:
+        weights = [g * math.exp(-x * v) for v, g in zip(values, degeneracy)]
+        laws.append((values, [wt / math.fsum(weights) for wt in weights]))
+    return analytic.RingSpec(eps, laws)
+
+
+# E[exp(-sigma)] is the product over k of Z(x_{k+1})/Z(x_k), which is 1 around
+# the ring for thermal laws of any weights, and not otherwise
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("beta_l, beta_h", [(1.38, 0.42), (-0.5, -1.0), (1.0, -0.5)])
+def test_integral_fluctuation_identity_over_the_laws(m, beta_l, beta_h):
+    eps = np.random.default_rng(10 * m + 3).uniform(0.1, 3.0, 2 * m)
+    thermal = analytic.equilibrium_ring(beta_l, beta_h, eps[:m], eps[m:])
+    assert abs(_mean_exp_minus_sigma(thermal, beta_l, beta_h) - 1.0) <= 1e-12
+    gibbs = _gibbs_ring(beta_l, beta_h, eps, (0.0, 1.0, 2.5), (1, 2, 3))
+    assert abs(_mean_exp_minus_sigma(gibbs, beta_l, beta_h) - 1.0) <= 1e-12
+
+
+def test_integral_fluctuation_identity_fails_off_equilibrium():
+    spec = ring([1.0, 1.3, 2.9, 2.2], [0.1, 0.2, 0.4, 0.3])  # thermal: 0.20, 0.14, 0.23, 0.28
+    assert _mean_exp_minus_sigma(spec, 1.38, 0.42) == pytest.approx(1.12982, abs=1e-5)

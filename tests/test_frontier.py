@@ -165,7 +165,7 @@ def test_engine_eta_within_unit_interval():
 def test_max_curve_non_increasing():
     pts = frontier.frontier_curve(1, BL, BH, np.array([0.05, 0.1, 0.15, 0.19]),
                                   frontier.Mode.MAX, FAST["tol_w"], FAST["budget"],
-                                  FAST["starts"], 0, None)
+                                  FAST["starts"], 0)
     etas = [p.eta for p in pts]
     for a, b in zip(etas, etas[1:]):
         assert b <= a + 1e-6
@@ -222,18 +222,6 @@ def test_zero_or_nonfinite_beta_is_a_domain_error(beta_l, beta_h):
         frontier.max_work(1, beta_l, beta_h, budget=100, starts=1)
 
 
-@pytest.mark.parametrize("extent", [0.0, -1.0, math.nan, math.inf])
-def test_bad_init_extent_is_a_domain_error(extent):
-    with pytest.raises(ValueError, match="init_extent must be finite and positive"):
-        frontier.optimize_efficiency(1, BL, BH, 0.1, init_extent=extent, **FAST)
-    with pytest.raises(ValueError, match="init_extent must be finite and positive"):
-        frontier.carnot_frontier(BL, BH, 0.1, init_extent=extent, **FAST)
-    with pytest.raises(ValueError, match="init_extent must be finite and positive"):
-        frontier.max_work(1, BL, BH, budget=100, starts=1, init_extent=extent)
-    with pytest.raises(ValueError, match="init_extent must be finite and positive"):
-        frontier.frontier_curve(None, BL, BH, np.array([0.1]), init_extent=extent)
-
-
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("beta_l, beta_h", [(-1.0, -0.5), (-0.5, -1.0), (1.0, -0.5)])
 def test_max_work_is_unbounded_for_negative_beta_h(m, beta_l, beta_h):
@@ -243,11 +231,16 @@ def test_max_work_is_unbounded_for_negative_beta_h(m, beta_l, beta_h):
         frontier.max_work(m, beta_l, beta_h, budget=2_000, starts=2)
 
 
-def test_overflowing_default_extent_is_a_domain_error():
-    with pytest.raises(ValueError, match=r"init_extent must be finite and positive \(default inf\)"):
+def test_overflowing_default_extent_is_a_domain_error(monkeypatch):
+    # 16 / min(|beta_l|, |beta_h|) overflows to inf for a subnormal beta
+    _no_search(monkeypatch)
+    message = r"^beta 1e-310 is too small: the start box 16/\|beta\| overflows$"
+    with pytest.raises(ValueError, match=message):
         frontier.optimize_efficiency(1, 1e-310, BH, 0.1, **FAST)
-    with pytest.raises(ValueError, match="set --init-extent"):
+    with pytest.raises(ValueError, match=message):
         frontier.max_work(2, 1e-310, BH, budget=100, starts=1)
+    with pytest.raises(ValueError, match=r"^beta -1e-310 is too small"):
+        frontier.frontier_curve(2, BL, -1e-310, np.array([0.1]))
 
 
 def test_optimizer_results_hold_python_floats():
@@ -316,8 +309,8 @@ def test_max_work_matches_grid_oracle():
 
 def test_frontier_curve_deterministic_and_ordered():
     targets = np.array([0.05, 0.15])
-    a = frontier.frontier_curve(1, BL, BH, targets, frontier.Mode.MAX, 1e-4, 30_000, 4, 9, None)
-    b = frontier.frontier_curve(1, BL, BH, targets, frontier.Mode.MAX, 1e-4, 30_000, 4, 9, None)
+    a = frontier.frontier_curve(1, BL, BH, targets, frontier.Mode.MAX, 1e-4, 30_000, 4, 9)
+    b = frontier.frontier_curve(1, BL, BH, targets, frontier.Mode.MAX, 1e-4, 30_000, 4, 9)
     assert [p.eta for p in a] == [p.eta for p in b]
     assert [p.target_work for p in a] == [0.05, 0.15]
 
@@ -398,8 +391,8 @@ def test_exact_paths_validate_like_the_search(monkeypatch):
             solve(starts=0)
         with pytest.raises(ValueError, match="seed must be in"):
             solve(seed=-1)
-        with pytest.raises(ValueError, match="init_extent must be finite and positive"):
-            solve(init_extent=math.nan)
+        with pytest.raises(ValueError, match="tol_w"):
+            solve(tol_w=math.nan)
         with pytest.raises(ValueError, match="tol_w"):
             solve(tol_w=0.0)
         pt = solve(budget=1, starts=1)  # the exact paths spend no budget
