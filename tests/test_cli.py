@@ -497,8 +497,9 @@ def test_simulate_overflow_writes_one_json_line():
 
 
 # Each input has one spelling: the Otto-form simulate flags, the raw
-# altitudes of continuum heats|reversible, analytic ring's mean weights and
-# the analytic variance subcommand are gone, so argparse rejects them.
+# altitudes of continuum heats|reversible, analytic ring's mean weights, the
+# frontier's start-box flag and second target flag, and the analytic variance
+# subcommand are gone, so argparse rejects them.
 _REMOVED_FLAGS = {
     "analytic ring": (["analytic", "ring", "--eps", "1,2", "--f", "0.2,0.3"], ["--f-mean"]),
     "simulate": (["simulate", "--eps", "1,2", "--n", "2,3", "--N", "10", "--trials", "10", "--seed", "0"],
@@ -506,10 +507,8 @@ _REMOVED_FLAGS = {
     "continuum heats": (["continuum", "heats", *_REDUCED, "--h1", "1.512", "--hm", "1.386"],
                         ["--eps-l1", "--eps-lm", "--eps-h1", "--eps-hm"]),
     "continuum reversible": (["continuum", "reversible", *_REDUCED], ["--eps-l1", "--eps-lm"]),
-    # the start-box flag and the second target flag, spelled in two parts so
-    # that a search for their names finds no live use
     "frontier": (["frontier", "--m", "1", "--beta-l", "1.38", "--beta-h", "0.42", "--target-w", "0.1"],
-                 ["--init" "-extent", "--w" "-grid"]),
+                 ["--init-extent", "--w-grid"]),
 }
 
 
