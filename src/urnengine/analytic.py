@@ -187,11 +187,7 @@ def _checked_seed(seed: int) -> int:
 
 def _equilibrium_weights(beta_l: float, beta_h: float, eps: np.ndarray) -> np.ndarray:
     """Thermal occupancies f(beta*eps) over the last axis (low half, high half)."""
-    m = eps.shape[-1] // 2
-    f = np.empty_like(eps)
-    f[..., :m] = occupancy_np(float(beta_l) * eps[..., :m])
-    f[..., m:] = occupancy_np(float(beta_h) * eps[..., m:])
-    return f
+    return occupancy_np(eps * np.repeat([float(beta_l), float(beta_h)], eps.shape[-1] // 2))
 
 
 def mean_heats_ring(spec: RingSpec) -> tuple[float, float, float]:

@@ -80,14 +80,13 @@ def _grid(text: str) -> list[float]:
 
 
 def _ring_m(text: str) -> int | None:
-    """Sub-reservoir count; 'inf' or 'carnot' selects the continuum cycle."""
-    if text.lower() in ("inf", "carnot"):
+    """Sub-reservoir count; 'carnot' selects the continuum cycle."""
+    if text == "carnot":
         return None
     try:
-        value = int(text)
+        return int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"m must be an integer, 'inf', or 'carnot': {text!r}") from exc
-    return value
+        raise argparse.ArgumentTypeError(f"m must be an integer or 'carnot': {text!r}") from exc
 
 
 def _jsonable(value: Any) -> Any:

@@ -25,8 +25,8 @@ c = #{b : b <= U N} over its reservoir's class boundaries b, probability
 n_c/N for any N up to 2^63 - 1.  A chunk's raw words give each draw's 16-bit
 prefix, which decides unless a boundary lies inside its interval; such ties
 read further words of the chunk's stream (see _classes).  Memory is bounded
-by the prefixes and classes of each chunk in flight; the trial path holds
-drawn weights _BLOCK trials at a time, and no result depends on _BLOCK.
+by the prefixes and classes of each chunk in flight; the trial path decodes
+one reservoir's drawn weights at a time, as the audit reads them.
 
 A trial's work is accumulated in ring order from 0.0, W = ((d_0 w_0 + d_1 w_1)
 + ...) with d_k = eps_k - eps_{k+1}, beside its heats eps_k (w_{k-1} - w_k);
@@ -57,7 +57,6 @@ from .analytic import RingSpec, _checked_seed, _ring_sum, work_statistics_ring
 __all__ = _EXPORTS["montecarlo"]
 
 _CHUNK = 16384  # trials per accumulation chunk; fixed so worker count cannot affect results
-_BLOCK = 4096  # trials per trial-path weight block; results do not depend on it
 _HIST_BINS = 256
 _CODES = 1 << 20  # most draw codes tabulated per run, and the enumeration limit
 
@@ -269,12 +268,9 @@ def _code_stats(tables: _Tables, cls: np.ndarray) -> _Partial:
 
 
 def _trial_stats(tables: _Tables, cls: np.ndarray) -> _Partial:
-    """Chunk partial of any ring from its draw classes, trial by trial, _BLOCK trials at a time."""
-    n_tr = cls.shape[1]
-    work, bad = np.empty(n_tr), np.empty(n_tr, dtype=bool)
-    for b in range(0, n_tr, _BLOCK):
-        w = np.array([wk[c] for wk, c in zip(tables.weights, cls[:, b:b + _BLOCK])])
-        work[b:b + _BLOCK], bad[b:b + _BLOCK] = _work_audit(tables, w.__getitem__)
+    """Chunk partial of any ring from its draw classes, trial by trial."""
+    w = tables.weights  # each column decoded when the audit asks for it
+    work, bad = _work_audit(tables, lambda k: w[k][cls[k]])
     return _partial(work, _mean_heats(tables, cls), _histogram(tables, work), int(np.count_nonzero(bad)))
 
 

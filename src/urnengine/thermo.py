@@ -54,15 +54,13 @@ def occupancy(x: float) -> float:
 
 
 def occupancy_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized occupancy with the same branch structure as the scalar form."""
+    """Vectorized occupancy in one pass: with e = exp(-|x|), which cannot
+    overflow, f = e/(1 + e) for x >= 0 and 1/(1 + e) otherwise, the scalar
+    form's two branches bit for bit; NaN gives NaN."""
     import numpy as np
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    e = np.exp(-x[pos])
-    out[pos] = e / (1.0 + e)
-    out[~pos] = 1.0 / (np.exp(x[~pos]) + 1.0)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, e, 1.0) / (1.0 + e)
 
 
 def _softplus(x: float) -> float:

@@ -498,8 +498,9 @@ def test_simulate_overflow_writes_one_json_line():
 
 # Each input has one spelling: the Otto-form simulate flags, the raw
 # altitudes of continuum heats|reversible, analytic ring's mean weights, the
-# frontier's start-box flag and second target flag, and the analytic variance
-# subcommand are gone, so argparse rejects them.
+# frontier's start-box flag and second target flag, the analytic variance
+# subcommand and every continuum spelling of --m but 'carnot' are gone, so
+# argparse rejects them.
 _REMOVED_FLAGS = {
     "analytic ring": (["analytic", "ring", "--eps", "1,2", "--f", "0.2,0.3"], ["--f-mean"]),
     "simulate": (["simulate", "--eps", "1,2", "--n", "2,3", "--N", "10", "--trials", "10", "--seed", "0"],
@@ -516,6 +517,9 @@ _REMOVED = [pytest.param([*argv, flag, "1"], f"unrecognized arguments: {flag} 1"
             for name, (argv, flags) in _REMOVED_FLAGS.items() for flag in flags]
 _REMOVED.append(pytest.param(["analytic", "variance", "--eps", "1,2", "--f", "0.2,0.3"],
                              "invalid choice: 'variance'", id="analytic variance"))
+_REMOVED += [pytest.param(["frontier", "--m", m, "--beta-l", "1.38", "--beta-h", "0.42", "--target-w", "0.1"],
+                          f"m must be an integer or 'carnot': {m!r}", id=f"frontier --m {m}")
+             for m in ("inf", "Carnot")]
 
 
 @pytest.mark.parametrize("argv, message", _REMOVED)

@@ -678,27 +678,12 @@ def _outputs(stats):
             else repr(v) for v in values]
 
 
-BLOCK_CASES = {
-    "otto": (otto_oracle_ring(), 1),
-    "2m=16 workers=1": (_equilibrium_like_ring(16, 3), 1),
-    "2m=16 workers=3": (_equilibrium_like_ring(16, 3), 3),
-    "0/1/2.5 2m=8": (_mixed_ring(8, 5), 1),
-    "fault": (MIXED_RINGS["fault"], 1),
-    "0/1 2m=22 trial path": (_equilibrium_like_ring(22, 4), 1),
-}
-
-
-@pytest.mark.parametrize("ring, workers", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
-def test_block_size_cannot_change_results(ring, workers, monkeypatch):
-    def outputs(block, trials):
-        monkeypatch.setattr(montecarlo, "_BLOCK", block)
-        return _outputs(montecarlo.run_ensemble(ring, trials, seed=8, workers=workers))
-
-    # 16384 is one block per chunk; 1 and 7 leave ragged blocks in every chunk
-    # and run on shorter ensembles, since each block costs a few dozen numpy calls
-    assert outputs(4096, 5 * 16384 + 123) == outputs(16384, 5 * 16384 + 123)
-    assert outputs(7, 16384 + 123) == outputs(16384, 16384 + 123)
-    assert outputs(1, 2000) == outputs(16384, 2000)
+def test_binned_trial_path_is_the_same_at_any_worker_count():
+    ring = _mixed_ring(14, 7)  # 3^14 draw codes: past the table, binned histogram
+    assert montecarlo._Tables(ring).code_work is None
+    a, b = (montecarlo.run_ensemble(ring, 5 * 16384 + 123, seed=8, workers=w) for w in (1, 3))
+    assert a.bin_width is not None
+    assert _outputs(a) == _outputs(b)
 
 
 def _traced_peak_mb(ring, trials, workers):
@@ -717,10 +702,10 @@ def _traced_peak_mb(ring, trials, workers):
     (_equilibrium_like_ring(64, 4), 4 * 16384 + 77, 1, 15.0),
 ], ids=["2m=16 workers=1", "2m=16 workers=2", "2m=64 trial path"])
 def test_traced_peak_is_bounded_by_blocks(ring, trials, workers, bound_mb):
-    # N = 1000 <= 2^32, so each chunk in flight holds its (2m, 16384) ball
-    # indices as uint32 (1 MB at 2m = 16) and, on the trial path, its drawn
-    # weights one (2m, 4096) block at a time; a whole-chunk weight buffer
-    # (8 MB at 2m = 64) would exceed the trial-path bound
+    # each chunk in flight holds its (2m, 16384) 16-bit prefixes, 8-bit
+    # classes and comparison flags (1 MB at 2m = 16) and, on the trial path,
+    # decodes one reservoir's drawn weights at a time (128 KB); a whole-chunk
+    # weight matrix (8 MB at 2m = 64) would exceed the trial-path bound
     assert _traced_peak_mb(ring, trials, workers) <= bound_mb
 
 

@@ -49,6 +49,26 @@ def test_occupancy_np_matches_scalar(x):
     assert thermo.occupancy_np(np.array([x]))[0] == pytest.approx(thermo.occupancy(x), rel=1e-15)
 
 
+def _occupancy_by_halves(x):
+    """The masked two-branch form occupancy_np replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    e = np.exp(-x[pos])
+    out[pos] = e / (1.0 + e)
+    out[~pos] = 1.0 / (np.exp(x[~pos]) + 1.0)
+    return out
+
+
+def test_occupancy_np_is_the_two_branch_form_bit_for_bit():
+    rng = np.random.default_rng(4)
+    edges = [0.0, 1e-300, 745.2, 1e308, math.inf]
+    x = np.concatenate([edges, np.negative(edges), rng.normal(0.0, 3.0, 400_000), rng.normal(0.0, 300.0, 400_000)])
+    out = thermo.occupancy_np(x)
+    assert out.tobytes() == _occupancy_by_halves(x).tobytes()
+    assert math.copysign(1.0, x[5]) == -1.0 and out[5] == 0.5  # -0.0 takes the x >= 0 branch
+    assert np.isnan(thermo.occupancy_np(np.array([1.0, math.nan]))[1])
+
+
 def test_beta_from_occupancy_oracles():
     assert thermo.beta_from_occupancy(2000, 10_000, 1.0) == pytest.approx(math.log(4.0), abs=1e-14)
     assert thermo.beta_from_occupancy(3000, 10_000, 2.0) == pytest.approx(math.log(7.0 / 3.0) / 2.0, abs=1e-14)
